@@ -55,54 +55,32 @@ int Communicator::next_pow2_at_least(int p) noexcept {
   return v;
 }
 
-Envelope Communicator::coll_recv(int source, int tag, const char* what) const {
+Communicator::Received Communicator::coll_recv(int source, int tag,
+                                               const char* what) const {
   const auto budget = state_->collective_timeout;
-  if (budget.count() <= 0) return my_mailbox().receive(context_, source, tag);
-  auto e = my_mailbox().receive_for(context_, source, tag, budget);
-  if (!e) throw_collective_timeout(source, what);
-  return std::move(*e);
+  auto got = receive_core(source, tag,
+                          budget.count() > 0 ? Wait::within(budget) : Wait::block(),
+                          nullptr);
+  if (!got) throw_collective_timeout(source, what);
+  return std::move(*got);
 }
 
 void Communicator::send_payload(int dest, int tag, Payload&& bytes,
                                 std::uint64_t ack_id, bool coll_seg) const {
   if (bytes.size() <= state_->eager_bytes) {
-    Envelope e{context_, rank_, tag, std::move(bytes)};
-    if (ack_id != 0) {
-      e.wants_ack = true;
-      e.ack_id = ack_id;
-    }
-    e.coll_seg = coll_seg;
-    deliver(dest, std::move(e));
+    post(dest, tag, std::move(bytes), /*rts=*/false, ack_id, coll_seg);
     return;
   }
-  RendezvousTable::Parked parked;
-  parked.storage.emplace<Payload>(std::move(bytes));
-  // The view must come from the payload inside the std::any (heap-held, so
-  // the pointer survives every later move of Parked).
-  auto& held = *std::any_cast<Payload>(&parked.storage);
-  parked.data = held.data();
-  parked.bytes = held.size();
-  send_rts(dest, tag, std::move(parked), ack_id, coll_seg);
+  post(dest, tag, Codec<RendezvousHandle>::encode(park(dest, tag, std::move(bytes))),
+       /*rts=*/true, ack_id, coll_seg);
 }
 
-void Communicator::send_rts(int dest, int tag, RendezvousTable::Parked&& parked,
-                            std::uint64_t ack_id, bool coll_seg) const {
-  obs::SpanScope span{obs::SpanKind::kRendezvous, "rdv-park", dest,
-                      static_cast<std::int64_t>(parked.bytes)};
-  parked.sender = rank_;
-  parked.dest = dest;
-  parked.tag = tag;
-  parked.context = context_;
-  RendezvousHandle handle;
-  handle.bytes = parked.bytes;
-  handle.ticket = state_->rendezvous.park(std::move(parked));
-  obs::count(obs::Counter::kRdvParked);
-  Envelope e{context_, rank_, tag, Codec<RendezvousHandle>::encode(handle)};
-  e.rts = true;
-  if (ack_id != 0) {
-    e.wants_ack = true;
-    e.ack_id = ack_id;
-  }
+void Communicator::post(int dest, int tag, Payload&& body, bool rts,
+                        std::uint64_t ack_id, bool coll_seg) const {
+  Envelope e{context_, rank_, tag, std::move(body)};
+  e.rts = rts;
+  e.wants_ack = ack_id != 0;
+  e.ack_id = ack_id;
   e.coll_seg = coll_seg;
   deliver(dest, std::move(e));
 }
@@ -124,32 +102,26 @@ std::optional<RendezvousTable::Parked> Communicator::claim_rts(
   return claimed;
 }
 
-std::optional<Payload> Communicator::resolve_payload(Envelope&& e) const {
-  if (!e.rts) {
-    if (e.wants_ack) state_->acknowledge(e.ack_id);
-    return std::move(e.data);
-  }
-  auto claimed = claim_rts(e);
-  if (!claimed) return std::nullopt;
-  if (e.wants_ack) state_->acknowledge(e.ack_id);
-  return take_claimed<Payload>(std::move(*claimed));
-}
-
-std::optional<Payload> Communicator::recv_body_for(
-    int source, int tag, std::chrono::milliseconds timeout) const {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  auto remaining = timeout;
+std::optional<Communicator::Received> Communicator::receive_core(
+    int source, int tag, Wait wait, Status* status) const {
   for (;;) {
-    auto e = my_mailbox().receive_for(context_, source, tag, remaining);
+    auto e = my_mailbox().receive(context_, source, tag, wait);
     if (!e) return std::nullopt;
-    auto bytes = resolve_payload(std::move(*e));
-    if (bytes) return bytes;
-    // Stale RTS consumed: keep waiting out the original deadline. A spent
-    // (or poll-once) budget degrades to further polls, which still
-    // terminate — the queue only shrinks from here.
-    remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    if (remaining.count() < 0) remaining = std::chrono::milliseconds(0);
+    RendezvousTable::Parked parked;
+    if (e->rts) {
+      auto claimed = claim_rts(*e);
+      if (!claimed) continue;  // stale RTS: keep waiting under the same wait
+      parked = std::move(*claimed);
+    }
+    if (status != nullptr) {
+      *status = Status{e->source, e->tag, e->rts ? parked.bytes : e->data.size()};
+    }
+    // For an RTS the claim is the moment the message counts as matched, so
+    // the ack (ssend / send_with_retry) fires only now.
+    if (e->wants_ack) state_->acknowledge(e->ack_id);
+    // Built in the return slot: a default-constructed optional would be
+    // zero-filled first (see Mailbox::receive).
+    return std::optional<Received>(std::in_place, std::move(*e), std::move(parked));
   }
 }
 
@@ -169,17 +141,6 @@ void Communicator::send_seg_header(int dest, int tag, std::uint64_t total,
                                    std::uint64_t seg) const {
   send_payload(dest, tag, Codec<CollSegHeader>::encode(CollSegHeader{total, seg}),
                /*ack_id=*/0, /*coll_seg=*/true);
-}
-
-std::pair<bool, Payload> Communicator::recv_flagged(int source, int tag,
-                                                    const char* what) const {
-  for (;;) {
-    Envelope e = coll_recv(source, tag, what);
-    const bool segmented = e.coll_seg;
-    auto body = resolve_payload(std::move(e));
-    if (!body) continue;  // stale RTS: keep waiting
-    return {segmented, std::move(*body)};
-  }
 }
 
 void Communicator::bcast_tree_send(const Payload& bytes,
@@ -215,14 +176,16 @@ void Communicator::bcast_tree_send(const Payload& bytes,
 
 Payload Communicator::bcast_tree_recv(int parent, const std::vector<int>& kids,
                                       const char* what) const {
-  auto [segmented, body] = recv_flagged(parent, internal_tag::kBcast, what);
+  Received got = coll_recv(parent, internal_tag::kBcast, what);
+  const bool segmented = got.env.coll_seg;
+  Payload body = take<Payload>(std::move(got));
   if (!segmented) {
     for (int child : kids) {
       Payload forward = body;
       count_payload_copy(forward.size());
       send_payload(child, internal_tag::kBcast, std::move(forward));
     }
-    return std::move(body);
+    return body;
   }
   const CollSegHeader h = Codec<CollSegHeader>::decode(std::move(body));
   if (h.seg == 0) {
@@ -236,7 +199,7 @@ Payload Communicator::bcast_tree_recv(int parent, const std::vector<int>& kids,
   Payload all;
   all.reserve(static_cast<std::size_t>(h.total));
   for (std::uint64_t off = 0; off < h.total; off += h.seg) {
-    Payload piece = coll_recv_typed<Payload>(parent, internal_tag::kBcastSeg, what);
+    Payload piece = take<Payload>(coll_recv(parent, internal_tag::kBcastSeg, what));
     for (int child : kids) {
       Payload forward = piece;
       count_payload_copy(forward.size());
@@ -297,22 +260,16 @@ bool Communicator::barrier_for(std::chrono::milliseconds timeout) const {
     deliver(0, Envelope{context_, rank_, internal_tag::kBarrierBase, Payload{}});
     // The release gets the root's whole collection budget plus slack for
     // the release hop; a silent root (crashed?) degrades rather than hangs.
-    auto verdict =
-        recv_body_for(0, internal_tag::kBarrierBase,
-                      timeout * 2 + std::chrono::milliseconds(100));
-    if (!verdict) return false;
-    return Codec<int>::decode(std::move(*verdict)) != 0;
+    const Wait release = Wait::within(timeout * 2 + std::chrono::milliseconds(100));
+    auto verdict = receive_core(0, internal_tag::kBarrierBase, release, nullptr);
+    return verdict && take<int>(std::move(*verdict)) != 0;
   }
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  // One deadline for every token; once it is spent the remaining receives
+  // poll, so tokens already queued still count as arrived.
+  const Wait wait = Wait::within(timeout);
   bool all = true;
   for (int r = 1; r < p; ++r) {
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    // Budget spent: poll, so tokens already queued still count as arrived.
-    auto e = recv_body_for(
-        r, internal_tag::kBarrierBase,
-        remaining.count() > 0 ? remaining : std::chrono::milliseconds(0));
-    if (!e) all = false;
+    if (!receive_core(r, internal_tag::kBarrierBase, wait, nullptr)) all = false;
   }
   const Payload verdict = Codec<int>::encode(all ? 1 : 0);
   for (int r = 1; r < p; ++r) {
@@ -497,8 +454,7 @@ Communicator Communicator::split(int color, int key) const {
       }
     }
   } else {
-    new_context =
-        coll_recv_typed<int>(leader_old_rank, internal_tag::kSplit, "split");
+    new_context = take<int>(coll_recv(leader_old_rank, internal_tag::kSplit, "split"));
   }
 
   return Communicator(state_, new_context, std::move(new_group), new_rank);

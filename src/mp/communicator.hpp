@@ -207,17 +207,7 @@ class Communicator {
   template <typename T>
   T recv(int source = kAnySource, int tag = kAnyTag, Status* status = nullptr) const {
     check_source(source, "recv");
-    for (;;) {
-      Envelope e = my_mailbox().receive(context_, source, tag);
-      if (!e.rts) {
-        finish_receive(e, status);
-        return decode_counted<T>(std::move(e.data));
-      }
-      auto claimed = claim_rts(e);
-      if (!claimed) continue;  // stale RTS: keep waiting
-      finish_claim(e, claimed->bytes, status);
-      return take_claimed<T>(std::move(*claimed));
-    }
+    return take<T>(receive_core(source, tag, Wait::block(), status).value());
   }
 
   /// Deadline receive: nullopt on timeout. Lets deadlock demonstrations
@@ -229,28 +219,10 @@ class Communicator {
   std::optional<T> recv_for(std::chrono::milliseconds timeout, int source = kAnySource,
                             int tag = kAnyTag, Status* status = nullptr) const {
     check_source(source, "recv_for");
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    auto remaining = timeout;
-    for (;;) {
-      auto e = my_mailbox().receive_for(context_, source, tag, remaining);
-      if (!e) return std::nullopt;
-      if (!e->rts) {
-        finish_receive(*e, status);
-        return decode_counted<T>(std::move(e->data));
-      }
-      auto claimed = claim_rts(*e);
-      if (claimed) {
-        finish_claim(*e, claimed->bytes, status);
-        return take_claimed<T>(std::move(*claimed));
-      }
-      // A stale RTS consumed no budget worth of data: keep waiting out
-      // the original deadline (a poll-once call polls again, still free).
-      remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - std::chrono::steady_clock::now());
-      if (timeout.count() <= 0 || remaining.count() < 0) {
-        remaining = std::chrono::milliseconds(0);
-      }
+    if (auto got = receive_core(source, tag, Wait::within(timeout), status)) {
+      return take<T>(std::move(*got));
     }
+    return std::nullopt;
   }
 
   /// Fault-tolerant synchronous send: like ssend() but the ack wait is
@@ -281,30 +253,18 @@ class Communicator {
     Payload bytes = Codec<T>::encode(value);
     count_payload_copy(bytes.size());
     const bool large = bytes.size() > state_->eager_bytes;
-    RendezvousHandle handle;
+    std::uint64_t ticket = 0;
     if (large) {
-      RendezvousTable::Parked parked;
-      parked.storage.emplace<Payload>(std::move(bytes));
-      auto& held = *std::any_cast<Payload>(&parked.storage);
-      parked.data = held.data();
-      parked.bytes = held.size();
-      parked.sender = rank_;
-      parked.dest = dest;
-      parked.tag = tag;
-      parked.context = context_;
-      handle.bytes = parked.bytes;
-      handle.ticket = state_->rendezvous.park(std::move(parked));
-      obs::count(obs::Counter::kRdvParked);
+      // Park once; from here `bytes` is the RTS every attempt re-publishes.
+      const RendezvousHandle handle = park(dest, tag, std::move(bytes));
+      ticket = handle.ticket;
+      bytes = Codec<RendezvousHandle>::encode(handle);
     }
     for (int attempt = 1;; ++attempt) {
       const std::uint64_t id = state_->next_ack.fetch_add(1);
       auto event = state_->register_ack(id);
-      Envelope e{context_, rank_, tag,
-                 large ? Codec<RendezvousHandle>::encode(handle) : bytes};
-      e.rts = large;
-      e.wants_ack = true;
-      e.ack_id = id;
-      deliver(dest, std::move(e));
+      Payload copy = bytes;
+      post(dest, tag, std::move(copy), large, id);
       // Bounded wait, so never counted blocked for the watchdog: it
       // always recovers on its own.
       bool acked;
@@ -321,7 +281,7 @@ class Communicator {
         // Withdraw the parked body before giving up: a ticket nobody will
         // claim must not wait for the finalize drain, and any RTS copies
         // still queued become stale no-ops at the receiver.
-        if (large) (void)state_->rendezvous.claim(handle.ticket);
+        if (large) (void)state_->rendezvous.claim(ticket);
         throw RuntimeFault("send_with_retry: no ack from rank " +
                            std::to_string(dest) + " after " +
                            std::to_string(attempt) + " attempts");
@@ -349,28 +309,17 @@ class Communicator {
     const auto deadline = std::chrono::steady_clock::now() + total;
     auto next = policy.initial_backoff.count() > 0 ? policy.initial_backoff
                                                    : std::chrono::milliseconds(1);
-    auto slice = std::chrono::milliseconds(0);  // first pass: poll once
+    Wait wait = Wait::poll();  // first pass: free
     for (;;) {
-      auto e = my_mailbox().receive_for(context_, source, tag, slice);
-      if (e) {
-        if (!e->rts) {
-          finish_receive(*e, status);
-          return decode_counted<T>(std::move(e->data));
-        }
-        auto claimed = claim_rts(*e);
-        if (claimed) {
-          finish_claim(*e, claimed->bytes, status);
-          return take_claimed<T>(std::move(*claimed));
-        }
-        // Stale RTS (a duplicate this receive already rode out): fall
-        // through to the backoff bookkeeping and wait for the real one.
+      if (auto got = receive_core(source, tag, wait, status)) {
+        return take<T>(std::move(*got));
       }
       const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
           deadline - std::chrono::steady_clock::now());
       if (remaining.count() <= 0) return std::nullopt;
       obs::count(obs::Counter::kRetryAttempts);
       obs::observe(obs::Metric::kRetryAttempts, 1);
-      slice = std::min({next, policy.max_backoff, remaining});
+      wait = Wait::within(std::min({next, policy.max_backoff, remaining}));
       next = std::min(next * policy.backoff_multiplier, policy.max_backoff);
     }
   }
@@ -381,18 +330,10 @@ class Communicator {
   std::optional<T> try_recv(int source = kAnySource, int tag = kAnyTag,
                             Status* status = nullptr) const {
     check_source(source, "try_recv");
-    for (;;) {
-      auto e = my_mailbox().try_receive(context_, source, tag);
-      if (!e) return std::nullopt;
-      if (!e->rts) {
-        finish_receive(*e, status);
-        return decode_counted<T>(std::move(e->data));
-      }
-      auto claimed = claim_rts(*e);
-      if (!claimed) continue;  // stale RTS: try the next queued message
-      finish_claim(*e, claimed->bytes, status);
-      return take_claimed<T>(std::move(*claimed));
+    if (auto got = receive_core(source, tag, Wait::poll(), status)) {
+      return take<T>(std::move(*got));
     }
+    return std::nullopt;
   }
 
   /// Nonblocking probe for a matching queued message (MPI_Iprobe).
@@ -437,23 +378,19 @@ class Communicator {
       send_payload(root, internal_tag::kReduce, std::move(bytes));
       return Partial<T>{local, {}};
     }
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    // One deadline for every contribution; once it is spent the remaining
+    // receives poll, so an already-queued contribution still lands.
+    const Wait wait = Wait::within(timeout);
     Partial<T> out;
     out.value = local;
     for (int r = 0; r < size(); ++r) {
       if (r == root) continue;
-      const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - std::chrono::steady_clock::now());
-      // Budget spent: fall through to a poll so an already-queued
-      // contribution still lands (recv_body_for treats <= 0 as poll-once).
-      auto bytes = recv_body_for(
-          r, internal_tag::kReduce,
-          remaining.count() > 0 ? remaining : std::chrono::milliseconds(0));
-      if (!bytes) {
+      auto got = receive_core(r, internal_tag::kReduce, wait, nullptr);
+      if (!got) {
         out.missing.push_back(r);
         continue;
       }
-      out.value = op.combine(out.value, decode_counted<T>(std::move(*bytes)));
+      out.value = op.combine(out.value, take<T>(std::move(*got)));
       obs::count(obs::Counter::kCombines);
     }
     return out;
@@ -500,8 +437,7 @@ class Communicator {
       }
       return value;
     }
-    return decode_counted<T>(
-        coll_recv_typed<Payload>(root, internal_tag::kBcast, "flat_broadcast"));
+    return take<T>(coll_recv(root, internal_tag::kBcast, "flat_broadcast"));
   }
 
   /// Binomial-tree reduction to \p root (MPI_Reduce): ceil(lg p) parallel
@@ -556,8 +492,7 @@ class Communicator {
     // Fold in rank order for determinism.
     for (int r = 0; r < size(); ++r) {
       if (r == root) continue;
-      acc = op.combine(
-          acc, coll_recv_typed<T>(r, internal_tag::kReduce, "flat_reduce"));
+      acc = op.combine(acc, take<T>(coll_recv(r, internal_tag::kReduce, "flat_reduce")));
     }
     return acc;
   }
@@ -579,8 +514,8 @@ class Communicator {
     // Fold in rank order for determinism.
     for (int r = 0; r < size(); ++r) {
       if (r == root) continue;
-      std::vector<T> inc = coll_recv_typed<std::vector<T>>(
-          r, internal_tag::kReduce, "flat_reduce");
+      std::vector<T> inc =
+          take<std::vector<T>>(coll_recv(r, internal_tag::kReduce, "flat_reduce"));
       if (inc.size() != acc.size()) {
         throw UsageError("flat_reduce: ranks contributed different vector lengths");
       }
@@ -670,8 +605,8 @@ class Communicator {
       count_payload_copy(out.size() * sizeof(T));
       obs::count(obs::Counter::kCollSegments);
       send_owned(right, internal_tag::kRingAg, std::move(out));
-      blocks[static_cast<std::size_t>(rb)] = coll_recv_typed<std::vector<T>>(
-          left, internal_tag::kRingAg, "ring_allgather");
+      blocks[static_cast<std::size_t>(rb)] =
+          take<std::vector<T>>(coll_recv(left, internal_tag::kRingAg, "ring_allgather"));
     }
     std::size_t total = 0;
     for (const auto& b : blocks) total += b.size();
@@ -715,8 +650,8 @@ class Communicator {
       send_owned(right, internal_tag::kRingAg, std::move(carry));
       const int rb = (rank_ - 1 - t + 2 * p) % p;
       const auto [off, len] = block_range(rb, local.size(), p);
-      std::vector<T> inc = coll_recv_typed<std::vector<T>>(
-          left, internal_tag::kRingAg, "ring_allreduce");
+      std::vector<T> inc =
+          take<std::vector<T>>(coll_recv(left, internal_tag::kRingAg, "ring_allreduce"));
       if (inc.size() != len) {
         throw UsageError(
             "ring_allreduce: ranks contributed different vector lengths");
@@ -752,12 +687,12 @@ class Communicator {
     if (rank_ >= pow2) {
       // Send my value down to rank_ - pow2, then wait for the result.
       send_encoded(rank_ - pow2, internal_tag::kReduce, local);
-      return coll_recv_typed<T>(rank_ - pow2, internal_tag::kBcast,
-                                "butterfly_allreduce");
+      return take<T>(
+          coll_recv(rank_ - pow2, internal_tag::kBcast, "butterfly_allreduce"));
     }
     if (rank_ < extra) {
-      T incoming = coll_recv_typed<T>(rank_ + pow2, internal_tag::kReduce,
-                                      "butterfly_allreduce");
+      T incoming = take<T>(
+          coll_recv(rank_ + pow2, internal_tag::kReduce, "butterfly_allreduce"));
       local = op.combine(local, incoming);
     }
 
@@ -765,8 +700,8 @@ class Communicator {
     for (int mask = 1; mask < pow2; mask <<= 1) {
       const int partner = rank_ ^ mask;
       send_encoded(partner, internal_tag::kReduce, local);
-      T incoming = coll_recv_typed<T>(partner, internal_tag::kReduce,
-                                      "butterfly_allreduce");
+      T incoming =
+          take<T>(coll_recv(partner, internal_tag::kReduce, "butterfly_allreduce"));
       // Combine in a rank-symmetric order so both partners agree.
       local = (rank_ < partner) ? op.combine(local, incoming)
                                 : op.combine(incoming, local);
@@ -803,12 +738,12 @@ class Communicator {
 
     if (rank_ >= pow2) {
       send_encoded(rank_ - pow2, internal_tag::kReduce, local);
-      return coll_recv_typed<std::vector<T>>(rank_ - pow2, internal_tag::kBcast,
-                                             "butterfly_allreduce");
+      return take<std::vector<T>>(
+          coll_recv(rank_ - pow2, internal_tag::kBcast, "butterfly_allreduce"));
     }
     if (rank_ < extra) {
-      std::vector<T> incoming = coll_recv_typed<std::vector<T>>(
-          rank_ + pow2, internal_tag::kReduce, "butterfly_allreduce");
+      std::vector<T> incoming = take<std::vector<T>>(
+          coll_recv(rank_ + pow2, internal_tag::kReduce, "butterfly_allreduce"));
       check_len(incoming);
       combine_range(op, local.data(), incoming.data(), local.size());
       obs::count(obs::Counter::kCombines);
@@ -817,8 +752,8 @@ class Communicator {
     for (int mask = 1; mask < pow2; mask <<= 1) {
       const int partner = rank_ ^ mask;
       send_encoded(partner, internal_tag::kReduce, local);
-      std::vector<T> incoming = coll_recv_typed<std::vector<T>>(
-          partner, internal_tag::kReduce, "butterfly_allreduce");
+      std::vector<T> incoming = take<std::vector<T>>(
+          coll_recv(partner, internal_tag::kReduce, "butterfly_allreduce"));
       check_len(incoming);
       // Combine in a rank-symmetric order so both partners agree even for
       // non-commutative ops at power-of-two p.
@@ -842,7 +777,7 @@ class Communicator {
   T scan(const T& local, const Op<T>& op) const {
     T acc = local;
     if (rank_ > 0) {
-      T prefix = coll_recv_typed<T>(rank_ - 1, internal_tag::kScan, "scan");
+      T prefix = take<T>(coll_recv(rank_ - 1, internal_tag::kScan, "scan"));
       acc = op.combine(prefix, local);
     }
     if (rank_ + 1 < size()) {
@@ -860,7 +795,7 @@ class Communicator {
   T exscan(const T& local, const Op<T>& op) const {
     T exclusive = op.identity;
     if (rank_ > 0) {
-      exclusive = coll_recv_typed<T>(rank_ - 1, internal_tag::kScan, "exscan");
+      exclusive = take<T>(coll_recv(rank_ - 1, internal_tag::kScan, "exscan"));
     }
     if (rank_ + 1 < size()) {
       const T inclusive = (rank_ == 0) ? local : op.combine(exclusive, local);
@@ -893,8 +828,7 @@ class Communicator {
       }
       return mine;
     }
-    return coll_recv_typed<std::vector<T>>(root, internal_tag::kScatter,
-                                           "scatter");
+    return take<std::vector<T>>(coll_recv(root, internal_tag::kScatter, "scatter"));
   }
 
   /// MPI_Gather/MPI_Gatherv: the root returns every rank's vector
@@ -912,8 +846,7 @@ class Communicator {
       if (r == root) {
         all.insert(all.end(), mine.begin(), mine.end());
       } else {
-        auto piece = coll_recv_typed<std::vector<T>>(r, internal_tag::kGather,
-                                                     "gather");
+        auto piece = take<std::vector<T>>(coll_recv(r, internal_tag::kGather, "gather"));
         all.insert(all.end(), piece.begin(), piece.end());
       }
     }
@@ -941,8 +874,8 @@ class Communicator {
     for (int r = 0; r < size(); ++r) {
       std::vector<T> piece =
           (r == root) ? std::move(mine)
-                      : coll_recv_typed<std::vector<T>>(r, internal_tag::kGather,
-                                                        "gatherv");
+                      : take<std::vector<T>>(
+                            coll_recv(r, internal_tag::kGather, "gatherv"));
       if (counts != nullptr) (*counts)[static_cast<std::size_t>(r)] = piece.size();
       all.insert(all.end(), piece.begin(), piece.end());
     }
@@ -989,8 +922,8 @@ class Communicator {
     in[static_cast<std::size_t>(rank_)] = per_dest[static_cast<std::size_t>(rank_)];
     for (int r = 0; r < size(); ++r) {
       if (r == rank_) continue;
-      in[static_cast<std::size_t>(r)] = coll_recv_typed<std::vector<T>>(
-          r, internal_tag::kAlltoall, "alltoall");
+      in[static_cast<std::size_t>(r)] =
+          take<std::vector<T>>(coll_recv(r, internal_tag::kAlltoall, "alltoall"));
     }
     return in;
   }
@@ -1014,7 +947,7 @@ class Communicator {
     for (int r = 0; r < size(); ++r) {
       if (r == rank_) continue;
       in[static_cast<std::size_t>(r)] =
-          coll_recv_typed<Payload>(r, internal_tag::kAlltoall, "alltoall");
+          take<Payload>(coll_recv(r, internal_tag::kAlltoall, "alltoall"));
     }
     return in;
   }
@@ -1089,19 +1022,6 @@ class Communicator {
         ->deliver(std::move(e));
   }
 
-  void finish_receive(const Envelope& e, Status* status) const {
-    if (status != nullptr) *status = Status{e.source, e.tag, e.data.size()};
-    if (e.wants_ack) state_->acknowledge(e.ack_id);
-  }
-
-  /// finish_receive for a claimed rendezvous body: Status reports the
-  /// parked buffer's size, and the ack (ssend/send_with_retry) fires now —
-  /// the claim is the moment the message counts as matched.
-  void finish_claim(const Envelope& e, std::size_t body_bytes, Status* status) const {
-    if (status != nullptr) *status = Status{e.source, e.tag, body_bytes};
-    if (e.wants_ack) state_->acknowledge(e.ack_id);
-  }
-
   /// \name Eager/rendezvous transport plumbing
   /// The copy accounting contract: every payload-plane memcpy of a body
   /// larger than Payload::kInlineBytes — encode, decode, forward, or
@@ -1135,23 +1055,55 @@ class Communicator {
   void send_payload(int dest, int tag, Payload&& bytes,
                     std::uint64_t ack_id = 0, bool coll_seg = false) const;
 
-  /// Parks \p parked under a fresh ticket and deposits its RTS envelope.
-  void send_rts(int dest, int tag, RendezvousTable::Parked&& parked,
-                std::uint64_t ack_id = 0, bool coll_seg = false) const;
+  /// Deposits one envelope carrying \p body (an RTS handle when \p rts).
+  void post(int dest, int tag, Payload&& body, bool rts, std::uint64_t ack_id = 0,
+            bool coll_seg = false) const;
+
+  /// The one park path: moves \p box (a Payload, std::vector<T> or
+  /// std::string) into the rendezvous table under a fresh ticket and
+  /// returns the handle an RTS envelope carries. The view comes from the
+  /// box *inside* the std::any, which holds its large object on the heap,
+  /// so the data() pointer is stable across every later move of Parked.
+  template <typename Box>
+  RendezvousHandle park(int dest, int tag, Box&& box) const {
+    RendezvousTable::Parked parked;
+    using Held = std::remove_reference_t<Box>;
+    const Held& held = parked.storage.emplace<Held>(std::move(box));
+    parked.data = reinterpret_cast<const std::byte*>(held.data());
+    parked.bytes = byte_size(held);
+    parked.sender = rank_;
+    parked.dest = dest;
+    parked.tag = tag;
+    parked.context = context_;
+    obs::SpanScope span{obs::SpanKind::kRendezvous, "rdv-park", dest,
+                        static_cast<std::int64_t>(parked.bytes)};
+    RendezvousHandle handle;
+    handle.bytes = parked.bytes;
+    handle.ticket = state_->rendezvous.park(std::move(parked));
+    obs::count(obs::Counter::kRdvParked);
+    return handle;
+  }
 
   /// Resolves a matched RTS envelope to its parked body. Empty means the
   /// RTS was stale (duplicated or withdrawn) — the caller keeps waiting.
   std::optional<RendezvousTable::Parked> claim_rts(const Envelope& e) const;
 
-  /// receive_for + rendezvous resolution: skips stale RTS envelopes
-  /// within the same deadline; nullopt on timeout. Used by the bounded
-  /// collectives (barrier_for, reduce_with_timeout).
-  std::optional<Payload> recv_body_for(int source, int tag,
-                                       std::chrono::milliseconds timeout) const;
+  /// A matched message resolved to its body: the envelope (carrying the
+  /// eager body, the source/tag and the coll_seg flag) and, for an RTS,
+  /// the rendezvous park it claimed.
+  struct Received {
+    Envelope env;
+    RendezvousTable::Parked parked;
+  };
 
-  /// Envelope-to-body resolution for cpp-side callers: acks, claims, and
-  /// returns the raw bytes (empty for a stale RTS).
-  std::optional<Payload> resolve_payload(Envelope&& e) const;
+  /// The one receive core under every public receive and collective:
+  /// mailbox receive under \p wait, skipping stale RTS envelopes against
+  /// that one wait (a spent deadline degrades to polls, which still
+  /// terminate — the queue only shrinks), claiming rendezvous bodies,
+  /// acking synchronous sends and filling \p status (body size). nullopt
+  /// when the wait ends without a message; never for Wait::block().
+  std::optional<Received> receive_core(int source, int tag, Wait wait,
+                                       Status* status) const;
 
   /// Encode + copy-accounting + routed send: the one-liner the collective
   /// algorithms use for their typed hops.
@@ -1168,31 +1120,23 @@ class Communicator {
   /// body — zero copies.
   template <typename V>
   void send_owned(int dest, int tag, V&& container) const {
-    using Box = std::remove_reference_t<V>;
-    const std::size_t nbytes = byte_size(container);
-    if (nbytes <= state_->eager_bytes) {
-      Payload bytes = Codec<Box>::encode(container);
-      count_payload_copy(bytes.size());
-      send_payload(dest, tag, std::move(bytes));
+    if (byte_size(container) <= state_->eager_bytes) {
+      send_encoded(dest, tag, container);
       return;
     }
-    RendezvousTable::Parked parked;
-    parked.storage.emplace<Box>(std::move(container));
-    // The view must come from the box *inside* the std::any: the any holds
-    // its large object on the heap, so the container's data() pointer is
-    // stable across every later move of Parked.
-    auto& held = *std::any_cast<Box>(&parked.storage);
-    parked.data = reinterpret_cast<const std::byte*>(held.data());
-    parked.bytes = nbytes;
-    send_rts(dest, tag, std::move(parked));
+    const RendezvousHandle handle = park(dest, tag, std::move(container));
+    post(dest, tag, Codec<RendezvousHandle>::encode(handle), /*rts=*/true);
   }
 
-  /// Moves a claimed body out as T: same-type claims transfer the buffer
-  /// (zero-copy); a Payload park decodes with one copy; a mismatched
-  /// typed park materializes the raw bytes first (two copies — the slow
-  /// path a type-punning receiver pays).
+  /// Moves a received body out as T. Eager bodies decode (identity for
+  /// Payload); claimed rendezvous bodies transfer the buffer when T is the
+  /// parked type (zero-copy), decode with one copy from a Payload park,
+  /// and materialize the raw bytes first from a mismatched typed park
+  /// (two copies — the slow path a type-punning receiver pays).
   template <typename T>
-  static T take_claimed(RendezvousTable::Parked&& parked) {
+  static T take(Received&& got) {
+    if (!got.env.rts) return decode_counted<T>(std::move(got.env.data));
+    RendezvousTable::Parked& parked = got.parked;
     if (T* held = std::any_cast<T>(&parked.storage)) return std::move(*held);
     if constexpr (!std::is_same_v<T, Payload>) {
       if (Payload* bytes = std::any_cast<Payload>(&parked.storage)) {
@@ -1205,28 +1149,13 @@ class Communicator {
     return decode_counted<T>(std::move(copy));
   }
 
+  static std::size_t byte_size(const Payload& p) noexcept { return p.size(); }
   static std::size_t byte_size(const std::string& s) noexcept { return s.size(); }
   template <typename T>
   static std::size_t byte_size(const std::vector<T>& v) noexcept {
     return v.size() * sizeof(T);
   }
 
-  /// coll_recv + rendezvous resolution, decoded as T (zero-copy for
-  /// same-type claims). Stale RTS envelopes are skipped.
-  template <typename T>
-  T coll_recv_typed(int source, int tag, const char* what) const {
-    for (;;) {
-      Envelope e = coll_recv(source, tag, what);
-      if (!e.rts) {
-        if (e.wants_ack) state_->acknowledge(e.ack_id);
-        return decode_counted<T>(std::move(e.data));
-      }
-      auto claimed = claim_rts(e);
-      if (!claimed) continue;  // stale RTS: keep waiting
-      if (e.wants_ack) state_->acknowledge(e.ack_id);
-      return take_claimed<T>(std::move(*claimed));
-    }
-  }
   /// @}
 
   void check_peer(int r, const char* what) const;
@@ -1240,7 +1169,7 @@ class Communicator {
   /// past the budget into a RuntimeFault naming the silent rank, its node,
   /// and any ranks fault injection crashed — instead of hanging the job.
   /// \p what names the collective for the diagnostic.
-  Envelope coll_recv(int source, int tag, const char* what) const;
+  Received coll_recv(int source, int tag, const char* what) const;
   [[noreturn]] void throw_collective_timeout(int source, const char* what) const;
 
   /// \name Checkpoint protocol plumbing (see checkpoint())
@@ -1315,8 +1244,8 @@ class Communicator {
       }
       const int rb = (rank_ - 2 - t + 2 * p) % p;
       const auto [off, len] = block_range(rb, local.size(), p);
-      std::vector<T> inc = coll_recv_typed<std::vector<T>>(
-          left, internal_tag::kRingRs, what);
+      std::vector<T> inc =
+          take<std::vector<T>>(coll_recv(left, internal_tag::kRingRs, what));
       if (inc.size() != len) {
         throw UsageError(std::string(what) +
                          ": ranks contributed different vector lengths");
@@ -1344,8 +1273,7 @@ class Communicator {
     const std::size_t n = local.size();
     std::vector<T> full = reduce(std::move(local), op, 0);
     if (rank_ != 0) {
-      return coll_recv_typed<std::vector<T>>(0, internal_tag::kRingRs,
-                                             "reduce_scatter");
+      return take<std::vector<T>>(coll_recv(0, internal_tag::kRingRs, "reduce_scatter"));
     }
     for (int r = 1; r < p; ++r) {
       const auto [off, len] = block_range(r, n, p);
@@ -1400,12 +1328,11 @@ class Communicator {
     // child below the segment threshold sends its (necessarily shorter)
     // body whole — an unflagged envelope, equally diagnosable.
     for (const Child& c : kids) {
-      auto [segmented, header] =
-          recv_flagged(c.rank, internal_tag::kReduce, "reduce");
-      if (!segmented) {
+      Received header = coll_recv(c.rank, internal_tag::kReduce, "reduce");
+      if (!header.env.coll_seg) {
         throw UsageError("reduce: ranks contributed different vector lengths");
       }
-      const CollSegHeader h = Codec<CollSegHeader>::decode(std::move(header));
+      const auto h = take<CollSegHeader>(std::move(header));
       if (h.total != n * sizeof(T)) {
         throw UsageError("reduce: ranks contributed different vector lengths");
       }
@@ -1414,8 +1341,8 @@ class Communicator {
     for (std::size_t off = 0; off < n; off += seg_elems) {
       const std::size_t len = std::min(seg_elems, n - off);
       for (const Child& c : kids) {
-        std::vector<T> inc = coll_recv_typed<std::vector<T>>(
-            c.rank, internal_tag::kReduceSeg, "reduce");
+        std::vector<T> inc =
+            take<std::vector<T>>(coll_recv(c.rank, internal_tag::kReduceSeg, "reduce"));
         if (inc.size() != len) {
           throw UsageError("reduce: ranks contributed different vector lengths");
         }
@@ -1452,11 +1379,6 @@ class Communicator {
   void send_seg_header(int dest, int tag, std::uint64_t total,
                        std::uint64_t seg) const;
 
-  /// coll_recv + rendezvous resolution preserving the coll_seg flag: the
-  /// header-or-whole-body receive of the segmented collectives.
-  std::pair<bool, Payload> recv_flagged(int source, int tag,
-                                        const char* what) const;
-
   /// The allreduce dispatch rule. Forced algorithms (RunOptions /
   /// PML_MP_COLL_ALGO) win when the call can honor them; kAuto takes the
   /// ring for large commutative vector bodies and the tree otherwise.
@@ -1480,8 +1402,7 @@ class Communicator {
       }
       if (vr + mask < p) {
         const int child = ((vr + mask) + root) % p;
-        V incoming =
-            coll_recv_typed<V>(child, internal_tag::kReduce, "reduce");
+        V incoming = take<V>(coll_recv(child, internal_tag::kReduce, "reduce"));
         merge(local, incoming);
         obs::count(obs::Counter::kCombines);
         if (trace != nullptr) trace->record(rank_, "combine", round, child);

@@ -142,6 +142,10 @@ class BlockScope {
   const std::function<void(int)>& hook_;
 };
 
+[[noreturn]] void throw_poisoned() {
+  throw RuntimeFault("receive aborted: message-passing runtime shut down");
+}
+
 }  // namespace
 
 std::deque<Envelope>& Mailbox::bucket_for_locked(const MatchKey& key) {
@@ -223,152 +227,115 @@ void Mailbox::note_match_locked(const Envelope& e, int source, int tag,
   }
 }
 
-bool Mailbox::extract_locked(int context, int source, int tag, Envelope& out) {
-  std::deque<Envelope>* bucket = find_locked(context, source, tag);
-  if (bucket == nullptr) return false;
-  out = std::move(bucket->front());
-  bucket->pop_front();
+std::optional<Envelope> Mailbox::take_front_locked(std::deque<Envelope>& bucket,
+                                                   int context, int source, int tag) {
+  std::optional<Envelope> out(std::move(bucket.front()));
+  bucket.pop_front();
   --total_queued_;
-  note_match_locked(out, source, tag, context);
-  return true;
+  note_match_locked(*out, source, tag, context);
+  return out;
 }
 
-Envelope Mailbox::receive(int context, int source, int tag) {
-  if (fault::active()) fault::on_receive_checkpoint();
-  Envelope out;  // NRVO: both exits return this object with zero extra moves
+void Mailbox::report_timeout(std::unique_lock<std::mutex>& lock, int context,
+                             int source, int tag) {
+  if (!analyze::active()) return;
+  // Near-miss diagnosis: snapshot what WAS queued so the comm lint can say
+  // "right source, wrong tag" rather than just "timed out". The snapshot is
+  // taken under mu_ but the report runs after unlock — the collector's
+  // finding synthesis is slow, and holding mu_ across it would stall every
+  // sender into this mailbox.
+  std::vector<analyze::MsgCoord> present;
+  present.reserve(total_queued_);
+  for (const auto& [key, bucket] : store_) {
+    for (const auto& m : bucket) present.push_back({m.source, m.tag, m.context});
+  }
+  const int who = owner_;
+  lock.unlock();
+  analyze::on_mp_timeout(who, source, tag, context, present);
+}
+
+std::optional<Envelope> Mailbox::receive(int context, int source, int tag,
+                                         Wait wait) {
+  using Kind = Wait::Kind;
+  if (wait.kind == Kind::kDeadline &&
+      std::chrono::steady_clock::now() >= wait.deadline) {
+    wait.kind = Kind::kPoll;
+  }
+  const bool poll = wait.kind == Kind::kPoll;
+  const bool timed = wait.kind == Kind::kDeadline;
+  // Polls pass no crash checkpoint: seeded fault decision streams count
+  // only the receives that can wait.
+  if (!poll && fault::active()) fault::on_receive_checkpoint();
   // The span opens before the lock so a message that is already queued —
   // the fast path — still records a kRecv span: profile recv-span counts
   // match messages received instead of silently excluding the cheap case.
   // Declared before `lock` so the span closes after the lock is released.
-  obs::SpanScope wait{obs::SpanKind::kRecv, "receive", source, tag};
+  obs::SpanScope span{obs::SpanKind::kRecv,
+                      poll ? "receive-poll" : (timed ? "receive-for" : "receive"),
+                      source, tag};
   std::unique_lock lock(mu_);
-  if (extract_locked(context, source, tag, out)) return out;
-  if (poisoned_) {
-    throw RuntimeFault("receive aborted: message-passing runtime shut down");
+  // Every exit builds its result in the return slot: a named, default-
+  // constructed std::optional<Envelope> is zero-filled by GCC, which the
+  // hot path would pay on every receive.
+  if (auto* bucket = find_locked(context, source, tag)) {
+    return take_front_locked(*bucket, context, source, tag);
   }
+  if (poll) {
+    span.dismiss();  // a poll that misses records nothing
+    return std::nullopt;
+  }
+  if (poisoned_) throw_poisoned();
   if (sched::coop_active()) {
     // Cooperative verification: no posted-receive handoff — re-poll the
     // buckets each time a deposit (or poison) wakes this mailbox. Blocking
-    // here is the scheduling decision the explorer branches on.
+    // here is the scheduling decision the explorer branches on. A deadline
+    // wait is granted its logical timeout only when no untimed lane can
+    // progress — i.e. when it would otherwise be part of a deadlock — so
+    // bounded receives neither race the clock nor mask real stalls.
     for (;;) {
-      sched::coop_block(this, &lock);
-      if (extract_locked(context, source, tag, out)) return out;
-      if (poisoned_) {
-        throw RuntimeFault("receive aborted: message-passing runtime shut down");
+      const bool timed_out = sched::coop_block(this, &lock, timed);
+      if (auto* bucket = find_locked(context, source, tag)) {
+        return take_front_locked(*bucket, context, source, tag);
+      }
+      if (poisoned_) throw_poisoned();
+      if (timed_out) {
+        report_timeout(lock, context, source, tag);
+        return std::nullopt;
       }
     }
   }
   // Post the receive. Invariant: a posted receive exists only while no
   // buffered message matches it — we checked under this same lock — so a
   // deliverer may hand its envelope over directly without overtaking.
-  PostedReceive pr{context, source, tag, /*timed=*/false};
+  PostedReceive pr{context, source, tag, timed};
   posted_.push_back(&pr);
-  BlockScope blocked(block_delta_);
-  lock.unlock();
-  const std::uint32_t final_state =
-      thread::adaptive_wait_and_advertise(pr.state, kPending, kParked);
-  // Lock handshake: the waker flips state and notifies while holding mu_,
-  // so re-acquiring it here guarantees the waker is done with `pr` before
-  // we read the envelope or unwind the stack frame that owns it.
-  lock.lock();
-  if (final_state == kPoisoned) {
-    throw RuntimeFault("receive aborted: message-passing runtime shut down");
-  }
-  note_match_locked(pr.env, source, tag, context);
-  out = std::move(pr.env);
-  return out;
-}
-
-std::optional<Envelope> Mailbox::receive_for(int context, int source, int tag,
-                                             std::chrono::milliseconds timeout) {
-  // timeout <= 0 means "poll once": no deadline arithmetic, no posted
-  // entry, no analyze timeout event — exactly try_receive semantics.
-  // recv_retry leans on this for its first zero-cost slice.
-  if (timeout.count() <= 0) return try_receive(context, source, tag);
-  if (fault::active()) fault::on_receive_checkpoint();
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  std::optional<Envelope> out(std::in_place);
-  // Opened before the lock for the same reason as receive(): the fast path
-  // must record its span too, and the span must close after unlock.
-  obs::SpanScope wait{obs::SpanKind::kRecv, "receive-for", source, tag};
-  std::unique_lock lock(mu_);
-  if (extract_locked(context, source, tag, *out)) return out;
-  if (poisoned_) {
-    throw RuntimeFault("receive aborted: message-passing runtime shut down");
-  }
-  if (sched::coop_active()) {
-    for (;;) {
-      // Timed cooperative block: the logical timeout is granted only when
-      // no untimed lane can progress — i.e. when this wait would otherwise
-      // be part of a deadlock — so bounded receives neither race the clock
-      // nor mask real stalls.
-      const bool timed_out = sched::coop_block(this, &lock, /*timed=*/true);
-      if (extract_locked(context, source, tag, *out)) return out;
-      if (poisoned_) {
-        throw RuntimeFault("receive aborted: message-passing runtime shut down");
-      }
-      if (!timed_out) continue;
-      // Same near-miss report as the real-deadline path below.
-      bool report = false;
-      std::vector<analyze::MsgCoord> present;
-      int who = owner_;
-      if (analyze::active()) {
-        report = true;
-        present.reserve(total_queued_);
-        for (const auto& [key, bucket] : store_) {
-          for (const auto& m : bucket) present.push_back({m.source, m.tag, m.context});
-        }
-      }
-      lock.unlock();
-      if (report) analyze::on_mp_timeout(who, source, tag, context, present);
+  if (timed) {
+    // Deliberately NOT counted as blocked for the deadlock watchdog: a
+    // deadline wait recovers on its own, so it is never "stuck". It parks
+    // on its condvar (tied to mu_) rather than the state word because
+    // atomics have no deadline wait.
+    const bool filled = pr.cv.wait_until(lock, wait.deadline, [&pr] {
+      return pr.state.load(std::memory_order_acquire) != kPending;
+    });
+    if (!filled) {
+      // State flips only under mu_, which we hold: kPending here means no
+      // deliverer claimed this entry, so withdrawing it is safe.
+      posted_.erase(std::find(posted_.begin(), posted_.end(), &pr));
+      report_timeout(lock, context, source, tag);
       return std::nullopt;
     }
-  }
-  PostedReceive pr{context, source, tag, /*timed=*/true};
-  posted_.push_back(&pr);
-  // Deliberately NOT counted as blocked for the deadlock watchdog: a
-  // deadline wait recovers on its own, so it is never "stuck". A timed
-  // posted receive parks on its condvar (tied to mu_) rather than the
-  // state word because atomics have no deadline wait.
-  const bool filled = pr.cv.wait_until(lock, deadline, [&pr] {
-    return pr.state.load(std::memory_order_acquire) != kPending;
-  });
-  if (!filled) {
-    // Timed out. State flips only under mu_, which we hold: kPending here
-    // means no deliverer claimed this entry, so withdrawing it is safe.
-    posted_.erase(std::find(posted_.begin(), posted_.end(), &pr));
-    // Near-miss diagnosis: snapshot what WAS queued so the comm lint can
-    // say "right source, wrong tag" rather than just "timed out". The
-    // snapshot is taken under mu_ but the report runs after unlock — the
-    // collector's finding synthesis is slow, and holding mu_ across it
-    // would stall every sender into this mailbox.
-    bool report = false;
-    std::vector<analyze::MsgCoord> present;
-    int who = owner_;
-    if (analyze::active()) {
-      report = true;
-      present.reserve(total_queued_);
-      for (const auto& [key, bucket] : store_) {
-        for (const auto& m : bucket) present.push_back({m.source, m.tag, m.context});
-      }
-    }
+  } else {
+    BlockScope blocked(block_delta_);
     lock.unlock();
-    if (report) analyze::on_mp_timeout(who, source, tag, context, present);
-    return std::nullopt;
+    (void)thread::adaptive_wait_and_advertise(pr.state, kPending, kParked);
+    // Lock handshake: the waker flips state and notifies while holding
+    // mu_, so re-acquiring it here guarantees the waker is done with `pr`
+    // before we read the envelope or unwind the stack frame that owns it.
+    lock.lock();
   }
-  if (pr.state.load(std::memory_order_acquire) == kPoisoned) {
-    throw RuntimeFault("receive aborted: message-passing runtime shut down");
-  }
+  if (pr.state.load(std::memory_order_acquire) == kPoisoned) throw_poisoned();
   note_match_locked(pr.env, source, tag, context);
-  *out = std::move(pr.env);
-  return out;
-}
-
-std::optional<Envelope> Mailbox::try_receive(int context, int source, int tag) {
-  std::optional<Envelope> out(std::in_place);
-  std::lock_guard lock(mu_);
-  if (!extract_locked(context, source, tag, *out)) out.reset();
-  return out;
+  return std::optional<Envelope>(std::move(pr.env));
 }
 
 std::optional<Status> Mailbox::probe(int context, int source, int tag) const {

@@ -39,6 +39,25 @@
 
 namespace pml::mp {
 
+/// How long a receive may wait: until a match (block), until a
+/// steady-clock deadline, or not at all (poll). A deadline already in the
+/// past polls, so a spent budget still drains what is queued and always
+/// terminates.
+struct Wait {
+  enum class Kind { kBlock, kDeadline, kPoll };
+  Kind kind = Kind::kBlock;
+  std::chrono::steady_clock::time_point deadline{};
+
+  static Wait block() noexcept { return {}; }
+  static Wait poll() noexcept { return {Kind::kPoll, {}}; }
+  /// A deadline \p timeout from now; a \p timeout <= 0 polls without
+  /// reading the clock.
+  static Wait within(std::chrono::milliseconds timeout) noexcept {
+    if (timeout.count() <= 0) return poll();
+    return {Kind::kDeadline, std::chrono::steady_clock::now() + timeout};
+  }
+};
+
 /// A rank's incoming message queue.
 class Mailbox {
  public:
@@ -70,20 +89,16 @@ class Mailbox {
   /// User messages always go through deliver().
   void deposit_trusted(Envelope e);
 
-  /// Blocks until a matching message arrives, removes and returns it.
-  /// Throws RuntimeFault if the runtime shuts down while waiting.
-  Envelope receive(int context, int source, int tag);
-
-  /// Like receive() but gives up after \p timeout; nullopt on timeout.
-  /// A \p timeout <= 0 means "poll once": it short-circuits to
-  /// try_receive() — no wait, no posted entry, and no timeout analysis
-  /// event. Used by deadlock-detection tests, the deadlock patternlet,
-  /// and the retry layer's deadline slicing.
-  std::optional<Envelope> receive_for(int context, int source, int tag,
-                                      std::chrono::milliseconds timeout);
-
-  /// Removes and returns a matching message if one is already queued.
-  std::optional<Envelope> try_receive(int context, int source, int tag);
+  /// The one receive: removes and returns the earliest matching message,
+  /// waiting as \p wait allows. A block or deadline wait passes the fault
+  /// crash checkpoint and opens a kRecv span ("receive" / "receive-for")
+  /// before matching, so fast-path matches are profiled too; a poll opens
+  /// its span ("receive-poll") only when it matches. nullopt when a poll
+  /// misses or a deadline passes (raising the analyze near-miss timeout
+  /// event); never nullopt for a block wait. A block or deadline wait
+  /// throws RuntimeFault once the runtime shuts down (poison()).
+  std::optional<Envelope> receive(int context, int source, int tag,
+                                  Wait wait = Wait::block());
 
   /// Returns the status of the first matching queued message without
   /// removing it (MPI_Iprobe analogue); nullopt if none queued.
@@ -135,14 +150,16 @@ class Mailbox {
   };
   using Store = std::unordered_map<MatchKey, std::deque<Envelope>, MatchKeyHash>;
 
-  /// One blocked receive, stack-allocated in receive()/receive_for() and
-  /// linked into posted_ while waiting. The deliverer fills env, flips
-  /// state, and wakes *this entry only*.
+  /// One blocked receive, stack-allocated in receive() and linked into
+  /// posted_ while waiting. The deliverer fills env, flips state, and wakes
+  /// *this entry only*.
   struct PostedReceive {
+    PostedReceive(int c, int s, int t, bool deadline)
+        : context(c), source(s), tag(t), timed(deadline) {}
     int context;
     int source;
     int tag;
-    bool timed;  ///< receive_for waits on cv; receive parks on state.
+    bool timed;  ///< Deadline waits use cv; block waits park on state.
     std::atomic<std::uint32_t> state{kPending};
     Envelope env;
     std::condition_variable cv;
@@ -159,10 +176,11 @@ class Mailbox {
   /// The real deposit: matching, targeted wakeup or filing, progress hook.
   /// deliver() is the thin fault-injection shim in front of this.
   void deposit(Envelope e);
-  /// Moves the earliest-arrival matching message into \p out (returns true),
-  /// firing the analyze/obs match events on the calling (receiver) thread.
-  /// Returns false, leaving \p out untouched, when nothing matches.
-  bool extract_locked(int context, int source, int tag, Envelope& out);
+  /// Removes and returns the front of \p bucket (the earliest match that
+  /// find_locked located), firing the analyze/obs match events on the
+  /// calling (receiver) thread.
+  std::optional<Envelope> take_front_locked(std::deque<Envelope>& bucket, int context,
+                                            int source, int tag);
   /// Locates the non-empty bucket holding the earliest match. Returns
   /// nullptr when nothing matches.
   std::deque<Envelope>* find_locked(int context, int source, int tag);
@@ -174,6 +192,9 @@ class Mailbox {
   /// analyze::on_mp_match + obs receive counters for a matched envelope;
   /// must run on the receiving thread (per-thread lanes, vector clocks).
   void note_match_locked(const Envelope& e, int source, int tag, int context);
+  /// Releases \p lock and raises analyze's near-miss timeout event.
+  void report_timeout(std::unique_lock<std::mutex>& lock, int context,
+                      int source, int tag);
 
   mutable std::mutex mu_;
   /// Unexpected-message buckets. Buckets are *never erased* once created —

@@ -144,6 +144,9 @@ class SpanScope {
     aux_ = aux;
   }
 
+  /// Drops the span: nothing is recorded when the scope closes.
+  void dismiss() noexcept { begin_ = 0; }
+
  private:
   std::uint64_t begin_;
   std::int64_t key_;

@@ -22,6 +22,7 @@ namespace {
 
 using mp::Envelope;
 using mp::Mailbox;
+using mp::Wait;
 
 Envelope env(int ctx, int src, int tag, int value = 0) {
   return Envelope{ctx, src, tag, mp::Codec<int>::encode(value)};
@@ -98,7 +99,7 @@ TEST(FaultInject, DropFirstNEatsALanesFirstDeliveries) {
   mb.deliver(env(0, 0, 1, 1));  // this lane's first delivery: dropped
   mb.deliver(env(0, 0, 1, 2));  // second delivery: deposited
   EXPECT_EQ(mb.queued(), 1u);
-  const auto got = mb.try_receive(0, 0, 1);
+  const auto got = mb.receive(0, 0, 1, Wait::poll());
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(value_of(*got), 2);
   const Stats s = stats();
@@ -111,8 +112,8 @@ TEST(FaultInject, DupDepositsTheEnvelopeTwice) {
   Mailbox mb;
   mb.deliver(env(0, 0, 1, 9));
   EXPECT_EQ(mb.queued(), 2u);
-  const auto first = mb.try_receive(0, 0, 1);
-  const auto second = mb.try_receive(0, 0, 1);
+  const auto first = mb.receive(0, 0, 1, Wait::poll());
+  const auto second = mb.receive(0, 0, 1, Wait::poll());
   ASSERT_TRUE(first.has_value());
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(value_of(*first), 9);

@@ -32,7 +32,7 @@ TEST(Matching, WildcardsAndExactMatch) {
 TEST(Mailbox, DeliverThenReceive) {
   Mailbox mb;
   mb.deliver(env(0, 1, 5, 99));
-  const Envelope got = mb.receive(0, 1, 5);
+  const Envelope got = *mb.receive(0, 1, 5);
   EXPECT_EQ(value_of(got), 99);
   EXPECT_EQ(mb.queued(), 0u);
 }
@@ -42,9 +42,9 @@ TEST(Mailbox, FifoPerSourceAndTag) {
   mb.deliver(env(0, 1, 5, 1));
   mb.deliver(env(0, 1, 5, 2));
   mb.deliver(env(0, 1, 5, 3));
-  EXPECT_EQ(value_of(mb.receive(0, 1, 5)), 1);
-  EXPECT_EQ(value_of(mb.receive(0, 1, 5)), 2);
-  EXPECT_EQ(value_of(mb.receive(0, 1, 5)), 3);
+  EXPECT_EQ(value_of(*mb.receive(0, 1, 5)), 1);
+  EXPECT_EQ(value_of(*mb.receive(0, 1, 5)), 2);
+  EXPECT_EQ(value_of(*mb.receive(0, 1, 5)), 3);
 }
 
 TEST(Mailbox, MatchingSkipsNonMatchingMessages) {
@@ -52,28 +52,28 @@ TEST(Mailbox, MatchingSkipsNonMatchingMessages) {
   mb.deliver(env(0, 1, 5, 10));
   mb.deliver(env(0, 2, 6, 20));
   // Receive the *second* message first — the first stays queued.
-  EXPECT_EQ(value_of(mb.receive(0, 2, 6)), 20);
+  EXPECT_EQ(value_of(*mb.receive(0, 2, 6)), 20);
   EXPECT_EQ(mb.queued(), 1u);
-  EXPECT_EQ(value_of(mb.receive(0, 1, 5)), 10);
+  EXPECT_EQ(value_of(*mb.receive(0, 1, 5)), 10);
 }
 
 TEST(Mailbox, WildcardReceiveTakesEarliestArrival) {
   Mailbox mb;
   mb.deliver(env(0, 2, 9, 111));
   mb.deliver(env(0, 1, 9, 222));
-  EXPECT_EQ(value_of(mb.receive(0, kAnySource, kAnyTag)), 111);
+  EXPECT_EQ(value_of(*mb.receive(0, kAnySource, kAnyTag)), 111);
 }
 
 TEST(Mailbox, ContextsAreIsolated) {
   Mailbox mb;
   mb.deliver(env(1, 0, 5, 42));
-  EXPECT_FALSE(mb.try_receive(0, 0, 5).has_value());
-  EXPECT_TRUE(mb.try_receive(1, 0, 5).has_value());
+  EXPECT_FALSE(mb.receive(0, 0, 5, Wait::poll()).has_value());
+  EXPECT_TRUE(mb.receive(1, 0, 5, Wait::poll()).has_value());
 }
 
 TEST(Mailbox, TryReceiveDoesNotBlock) {
   Mailbox mb;
-  EXPECT_FALSE(mb.try_receive(0, kAnySource, kAnyTag).has_value());
+  EXPECT_FALSE(mb.receive(0, kAnySource, kAnyTag, Wait::poll()).has_value());
 }
 
 TEST(Mailbox, ProbeReportsWithoutRemoving) {
@@ -94,13 +94,13 @@ TEST(Mailbox, ReceiveBlocksUntilDelivery) {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     mb.deliver(env(0, 0, 1, 7));
   });
-  EXPECT_EQ(value_of(mb.receive(0, 0, 1)), 7);
+  EXPECT_EQ(value_of(*mb.receive(0, 0, 1)), 7);
 }
 
 TEST(Mailbox, ReceiveForTimesOutWhenNothingMatches) {
   Mailbox mb;
   mb.deliver(env(0, 0, 99));
-  const auto got = mb.receive_for(0, 0, 1, std::chrono::milliseconds(50));
+  const auto got = mb.receive(0, 0, 1, Wait::within(std::chrono::milliseconds(50)));
   EXPECT_FALSE(got.has_value());
   EXPECT_EQ(mb.queued(), 1u);  // non-matching message untouched
 }
@@ -111,7 +111,7 @@ TEST(Mailbox, ReceiveForSucceedsWithinDeadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     mb.deliver(env(0, 0, 1, 8));
   });
-  const auto got = mb.receive_for(0, 0, 1, std::chrono::seconds(5));
+  const auto got = mb.receive(0, 0, 1, Wait::within(std::chrono::seconds(5)));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(value_of(*got), 8);
 }
@@ -129,7 +129,7 @@ TEST(Mailbox, PoisonedMailboxStillServesQueuedMatches) {
   Mailbox mb;
   mb.deliver(env(0, 0, 1, 3));
   mb.poison();
-  EXPECT_EQ(value_of(mb.receive(0, 0, 1)), 3);
+  EXPECT_EQ(value_of(*mb.receive(0, 0, 1)), 3);
   EXPECT_THROW((void)mb.receive(0, 0, 1), RuntimeFault);
 }
 

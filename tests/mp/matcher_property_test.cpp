@@ -102,11 +102,11 @@ void run_script(std::uint64_t seed) {
         mailbox.deliver(std::move(e));
         break;
       }
-      case 2: {  // try_receive
+      case 2: {  // poll receive
         const int c = pick(contexts);
         const int s = pick_source();
         const int t = pick_tag();
-        auto got = mailbox.try_receive(c, s, t);
+        auto got = mailbox.receive(c, s, t, Wait::poll());
         auto want = oracle.try_receive(c, s, t);
         ASSERT_EQ(got.has_value(), want.has_value())
             << "step " << step << " recv(" << c << "," << s << "," << t << ")";
@@ -140,17 +140,17 @@ void run_script(std::uint64_t seed) {
 
   // Drain with wildcard receives: full arrival order must agree to the end.
   while (auto want = oracle.try_receive(0, kAnySource, kAnyTag)) {
-    auto got = mailbox.try_receive(0, kAnySource, kAnyTag);
+    auto got = mailbox.receive(0, kAnySource, kAnyTag, Wait::poll());
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(body_of(*got), body_of(*want));
   }
   for (int c : contexts) {
     while (auto want = oracle.try_receive(c, kAnySource, kAnyTag)) {
-      auto got = mailbox.try_receive(c, kAnySource, kAnyTag);
+      auto got = mailbox.receive(c, kAnySource, kAnyTag, Wait::poll());
       ASSERT_TRUE(got.has_value());
       EXPECT_EQ(body_of(*got), body_of(*want));
     }
-    EXPECT_FALSE(mailbox.try_receive(c, kAnySource, kAnyTag).has_value());
+    EXPECT_FALSE(mailbox.receive(c, kAnySource, kAnyTag, Wait::poll()).has_value());
   }
   EXPECT_EQ(mailbox.queued(), 0u);
 }

@@ -3,7 +3,8 @@
 /// receive records a kRecv span whether the message was already queued
 /// (fast path) or the receiver had to block (slow path) — so the span
 /// count equals the messages-received counter instead of undercounting
-/// exactly the receives that never waited.
+/// exactly the receives that never waited. A poll records a span only when
+/// it matches.
 
 #include <gtest/gtest.h>
 
@@ -58,12 +59,33 @@ TEST(RecvProfile, TimedReceiveRecordsASpanOnBothOutcomes) {
   Mailbox mb;
   mb.deliver(env(0, 0, 1, 1));
   // One fast-path success and one timeout: two kRecv spans, one message.
-  ASSERT_TRUE(mb.receive_for(0, 0, 1, std::chrono::milliseconds(50)).has_value());
-  EXPECT_FALSE(mb.receive_for(0, 0, 2, std::chrono::milliseconds(10)).has_value());
+  ASSERT_TRUE(
+      mb.receive(0, 0, 1, Wait::within(std::chrono::milliseconds(50))).has_value());
+  EXPECT_FALSE(
+      mb.receive(0, 0, 2, Wait::within(std::chrono::milliseconds(10))).has_value());
 
   const obs::Profile p = scope.finish();
   EXPECT_EQ(sum_spans(p, obs::SpanKind::kRecv), 2u);
   EXPECT_EQ(sum_counter(p, obs::Counter::kMessagesReceived), 1u);
+}
+
+TEST(RecvProfile, PollRecordsASpanOnlyWhenItMatches) {
+  obs::Scope scope;
+  Mailbox mb;
+  mb.deliver(env(0, 0, 1, 1));
+  // A poll hit is a receive like any other: one kRecv span, one message.
+  ASSERT_TRUE(mb.receive(0, 0, 1, Wait::poll()).has_value());
+  // A poll miss waited for nothing and received nothing: no span.
+  EXPECT_FALSE(mb.receive(0, 0, 1, Wait::poll()).has_value());
+  // A deadline already in the past polls: the hit records its span too.
+  const Wait spent = Wait::within(std::chrono::milliseconds(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  mb.deliver(env(0, 0, 1, 2));
+  ASSERT_TRUE(mb.receive(0, 0, 1, spent).has_value());
+
+  const obs::Profile p = scope.finish();
+  EXPECT_EQ(sum_counter(p, obs::Counter::kMessagesReceived), 2u);
+  EXPECT_EQ(sum_spans(p, obs::SpanKind::kRecv), 2u);
 }
 
 }  // namespace

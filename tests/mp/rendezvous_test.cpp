@@ -17,6 +17,7 @@
 #include <numeric>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analyze/analyze.hpp"
@@ -311,6 +312,73 @@ TEST(Rendezvous, DuplicateRtsGoesStaleWithoutCorruption) {
   EXPECT_EQ(total(p, obs::Counter::kRdvStale), 1u);
   EXPECT_EQ(total(p, obs::Counter::kRdvParked), 1u);
 }
+
+/// The receive modes the stale-RTS sweep drives.
+enum class RecvMode { kRecv, kRecvFor, kTryRecv, kRecvRetry };
+
+class RendezvousStaleRts : public ::testing::TestWithParam<RecvMode> {};
+
+// The sender's first body is duplicated (dup:1), so its echo RTS goes stale
+// while queued *ahead of* the second body: the second receive has to skip
+// it inside whichever receive mode is under test.
+TEST_P(RendezvousStaleRts, EveryReceiveModeSkipsTheStaleEcho) {
+  using Vec = std::vector<std::int64_t>;
+  const RecvMode mode = GetParam();
+  obs::Scope scope;
+  {
+    fault::FaultScope faults{fault::FaultPlan::parse("dup:1")};
+    run(
+        2,
+        [mode](Communicator& comm) {
+          if (comm.rank() == 0) {
+            comm.send(iota_vec(200), 1, 3);
+            comm.send(iota_vec(200, 1000), 1, 3);
+            return;
+          }
+          const auto receive = [&]() -> std::optional<Vec> {
+            switch (mode) {
+              case RecvMode::kRecv:
+                return comm.recv<Vec>(0, 3);
+              case RecvMode::kRecvFor:
+                return comm.recv_for<Vec>(2000ms, 0, 3);
+              case RecvMode::kRecvRetry:
+                return comm.recv_retry<Vec>(2000ms, 0, 3);
+              case RecvMode::kTryRecv:
+                break;
+            }
+            const auto give_up = std::chrono::steady_clock::now() + 2000ms;
+            while (std::chrono::steady_clock::now() < give_up) {
+              if (auto got = comm.try_recv<Vec>(0, 3)) return got;
+              std::this_thread::yield();
+            }
+            return std::nullopt;
+          };
+          EXPECT_EQ(receive(), iota_vec(200));
+          EXPECT_EQ(receive(), iota_vec(200, 1000));
+          // The echo was consumed as stale, never decoded as a third body.
+          EXPECT_FALSE(comm.try_recv<Vec>(0, 3).has_value());
+        },
+        tiny_threshold());
+    EXPECT_EQ(fault::stats().duplicated, 1u);
+  }
+  const obs::Profile p = scope.finish();
+  EXPECT_EQ(total(p, obs::Counter::kRdvStale), 1u);
+  EXPECT_EQ(total(p, obs::Counter::kRdvParked), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, RendezvousStaleRts,
+    ::testing::Values(RecvMode::kRecv, RecvMode::kRecvFor, RecvMode::kTryRecv,
+                      RecvMode::kRecvRetry),
+    [](const ::testing::TestParamInfo<RecvMode>& info) {
+      switch (info.param) {
+        case RecvMode::kRecv: return "recv";
+        case RecvMode::kRecvFor: return "recv_for";
+        case RecvMode::kTryRecv: return "try_recv";
+        case RecvMode::kRecvRetry: return "recv_retry";
+      }
+      return "unknown";
+    });
 
 TEST(Rendezvous, SendWithRetryRepublishesDroppedRts) {
   fault::FaultScope faults{fault::FaultPlan::parse("drop:1")};

@@ -1,5 +1,5 @@
 /// \file timeout_race_test.cpp
-/// \brief Races receive_for's timeout withdrawal against a concurrent
+/// \brief Races a deadline receive's timeout withdrawal against a concurrent
 /// deliverer: whatever the interleaving, the message is delivered exactly
 /// once or remains queued — never lost, never double-delivered. Swept under
 /// several chaos seeds so the perturbation layer varies the interleavings.
@@ -33,9 +33,9 @@ TEST(TimeoutRace, WithdrawalNeverLosesOrDuplicatesAMessage) {
         std::this_thread::sleep_for(stagger);
         mb.deliver(env(0, 0, 1, 42));
       });
-      const auto got = mb.receive_for(0, 0, 1, std::chrono::milliseconds(1));
+      const auto got = mb.receive(0, 0, 1, Wait::within(std::chrono::milliseconds(1)));
       deliverer.join();
-      const auto leftover = mb.try_receive(0, 0, 1);
+      const auto leftover = mb.receive(0, 0, 1, Wait::poll());
       const int seen = (got.has_value() ? 1 : 0) + (leftover.has_value() ? 1 : 0);
       EXPECT_EQ(seen, 1) << "seed " << seed << " iter " << iter
                          << ": message lost or duplicated across the "
@@ -50,12 +50,12 @@ TEST(TimeoutRace, ZeroTimeoutPollsOnce) {
   Mailbox mb;
   mb.deliver(env(0, 0, 1, 5));
   // A queued match is returned immediately...
-  const auto hit = mb.receive_for(0, 0, 1, std::chrono::milliseconds(0));
+  const auto hit = mb.receive(0, 0, 1, Wait::within(std::chrono::milliseconds(0)));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(Codec<int>::decode(hit->data), 5);
   // ...and an empty mailbox answers without waiting.
   const auto t0 = std::chrono::steady_clock::now();
-  const auto miss = mb.receive_for(0, 0, 1, std::chrono::milliseconds(0));
+  const auto miss = mb.receive(0, 0, 1, Wait::within(std::chrono::milliseconds(0)));
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   EXPECT_FALSE(miss.has_value());
   EXPECT_LT(elapsed, std::chrono::milliseconds(100));
@@ -64,10 +64,11 @@ TEST(TimeoutRace, ZeroTimeoutPollsOnce) {
 TEST(TimeoutRace, NegativeTimeoutAlsoPollsOnce) {
   Mailbox mb;
   mb.deliver(env(0, 0, 1, 6));
-  const auto hit = mb.receive_for(0, 0, 1, std::chrono::milliseconds(-5));
+  const auto hit = mb.receive(0, 0, 1, Wait::within(std::chrono::milliseconds(-5)));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(Codec<int>::decode(hit->data), 6);
-  EXPECT_FALSE(mb.receive_for(0, 0, 1, std::chrono::milliseconds(-5)).has_value());
+  EXPECT_FALSE(
+      mb.receive(0, 0, 1, Wait::within(std::chrono::milliseconds(-5))).has_value());
 }
 
 }  // namespace
