@@ -2,67 +2,23 @@
 /// \brief Command-line front end to the collection — the "folder with a
 /// Makefile" experience of the original distribution, for all 44 programs.
 ///
-/// Usage:
-///   patternlet_runner --list                      # the whole collection
-///   patternlet_runner --show omp/reduction        # metadata + exercise
-///   patternlet_runner omp/spmd                    # run as shipped
+///   patternlet_runner --list                     # the whole collection
 ///   patternlet_runner omp/spmd -t 8 --on "omp parallel"
-///   patternlet_runner omp/reduction -t 4 --all-on -p size=100000
-///   patternlet_runner mpi/gather -t 6
-///   patternlet_runner omp/barrier -t 4 --on "omp barrier" --timeline
-///   patternlet_runner --listing omp/reduction  # the paper's original C
-///   patternlet_runner --list-racy                 # patternlets staging a race
 ///   patternlet_runner omp/reduction --on "omp parallel for" --chaos-seed 42
-///   patternlet_runner omp/private --analyze       # explain the race
 ///
-/// --chaos-seed N runs the body under pml::sched schedule perturbation so the
-/// staged race manifests reproducibly (same seed, same interleaving nudges) —
-/// even on a single-core machine where the natural schedule almost never
-/// exposes it. Setting the PML_CHAOS environment variable to N is equivalent
-/// (the flag wins when both are given).
-///
-/// --analyze runs the body under pml::analyze: the happens-before race
-/// detector, lock-order deadlock predictor, and worksharing/communication
-/// lints. Where chaos mode makes a race *happen*, the analyzer *explains*
-/// it — and reports on every run, no lucky schedule needed. Exit status 3
-/// when the analysis finds errors.
-///
-/// --fault SPEC runs the body under pml::fault deterministic fault
-/// injection: drop, delay, or duplicate messages, crash a named virtual
-/// node, or slow one down — same spec + same seed, same fault sequence.
-/// Try `mpi/message-passing --fault=drop:1` and watch the deadlock
-/// diagnosis name the retry/timeout toggle that fixes it. The PML_FAULT
-/// environment variable supplies a default spec (the flag wins).
-///
-/// --profile runs the body under pml::obs: per-task spans (region, loop
-/// chunk, barrier wait, lock wait, send/recv, collective) plus counters
-/// (chunks, steals, combines, message traffic) are collected and printed as
-/// a per-task table. --trace-json FILE (implies --profile) additionally
-/// writes the spans as Chrome trace-event JSON — open it at
-/// ui.perfetto.dev to see the run as a zoomable per-node, per-task
-/// timeline, with flow arrows linking every message send to its receive.
-/// FILE may be '-' for stdout (program output is then suppressed so stdout
-/// is exactly one JSON document).
-///
-/// --explain (implies --profile) prints the run's critical path: the
-/// longest causal chain from start to finish, every nanosecond attributed
-/// to compute / barrier-wait / lock-wait / message-latency / rendezvous /
-/// runtime, plus the Amdahl speedup bound the decomposition admits. This is
-/// the "why wasn't it N× faster?" report.
-///
-/// --metrics-json FILE (implies --profile) writes the metrics registry —
-/// log-bucketed latency/wait/duration histograms with p50/p90/p99, per task
-/// and cluster-wide — as JSON ('-' for stdout, same suppression rule).
+/// `patternlet_runner --help` lists every flag and PML_* variable; the
+/// table behind it, and the parser, live in core/cli.{hpp,cpp}. This file
+/// only dispatches the parsed Invocation and reports the run.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
-#include <iterator>
 #include <string>
 
-#include "core/env.hpp"
+#include "core/cli.hpp"
 #include "core/runner.hpp"
 #include "core/timeline.hpp"
 #include "obs/chrome_trace.hpp"
@@ -129,318 +85,98 @@ int list_racy(const pml::Registry& reg) {
   return 0;
 }
 
-int help() {
-  std::printf(
-      "patternlet_runner — run the patternlet collection\n\n"
-      "  patternlet_runner --list                 list the whole collection\n"
-      "  patternlet_runner --list-racy            patternlets staging a race\n"
-      "  patternlet_runner --show SLUG            metadata + student exercise\n"
-      "  patternlet_runner --listing SLUG         the paper's original C\n"
-      "  patternlet_runner SLUG [options]         run one patternlet\n\n"
-      "options:\n"
-      "  -t, --tasks N       task (thread/rank) count\n"
-      "  --on TOGGLE         enable a directive toggle (repeatable)\n"
-      "  --off TOGGLE        disable a directive toggle (repeatable)\n"
-      "  --all-on / --all-off  force every declared toggle\n"
-      "  -p, --param K=V     numeric parameter override (repeatable)\n"
-      "  --timeline          render the output as a per-task timeline\n"
-      "  --timeline-lane-program  include the program (task -1) lane in the\n"
-      "                      timeline rendering\n"
-      "  --chaos-seed N      run under seeded schedule perturbation so the\n"
-      "                      staged race manifests (PML_CHAOS env equivalent)\n"
-      "  --fault SPEC        run under deterministic fault injection, e.g.\n"
-      "                      drop:1 | drop:25%% | dup:1 | delay:5 |\n"
-      "                      crash:node-02@3 | slow:node-01@10, comma-joined,\n"
-      "                      with seed:N for reproducibility (PML_FAULT env\n"
-      "                      equivalent)\n"
-      "  --ckpt              enable checkpoint/restart: mp patternlets commit\n"
-      "                      a consistent cut at each Communicator::checkpoint\n"
-      "                      call and recover injected node crashes by\n"
-      "                      re-hosting the dead ranks + replaying from the\n"
-      "                      last cut (PML_CKPT env equivalent; its value is\n"
-      "                      the commit interval)\n"
-      "  --ckpt-interval N   commit every Nth checkpoint call (implies --ckpt)\n"
-      "  --ckpt-file FILE    persist every committed cut to FILE (implies\n"
-      "                      --ckpt)\n"
-      "  --restart-from FILE adopt a saved cut: ranks resume from it at their\n"
-      "                      first checkpoint call\n"
-      "  --analyze           run under the happens-before race detector,\n"
-      "                      deadlock predictor, and comm/worksharing lints;\n"
-      "                      exit 3 if the analysis reports errors\n"
-      "  --profile           collect per-task spans and metrics (barrier/lock\n"
-      "                      waits, chunks, combines, messages) and print a\n"
-      "                      per-task table\n"
-      "  --trace-json FILE   write the profile as Chrome trace-event JSON for\n"
-      "                      Perfetto, flow arrows linking sends to receives\n"
-      "                      (implies --profile; '-' writes to stdout)\n"
-      "  --explain           print the critical path: the longest causal\n"
-      "                      chain, attributed to compute/barrier/lock/\n"
-      "                      message/rendezvous/runtime, and the implied\n"
-      "                      speedup bound (implies --profile)\n"
-      "  --metrics-json FILE write the metrics registry (histograms with\n"
-      "                      p50/p90/p99, per task and cluster-wide) as JSON\n"
-      "                      (implies --profile; '-' writes to stdout)\n"
-      "  --obs-ring-spans N  per-thread span/flow ring capacity under\n"
-      "                      --profile (default 16384, or PML_OBS_RING_SPANS;\n"
-      "                      overflow counts into spans_dropped)\n"
-      "  --verify            systematically explore the body's schedules\n"
-      "                      (bounded model checking): one runnable lane at a\n"
-      "                      time, every execution race-checked; the first\n"
-      "                      violation prints a replayable counterexample and\n"
-      "                      exits 3, exhausting the bound cleanly exits 0\n"
-      "  --verify-bound N    preemption bound for chess mode (default 2)\n"
-      "  --verify-budget N   max executions to explore (default 200)\n"
-      "  --verify-mode M     'dpor' (default) or 'chess'\n"
-      "  --verify-out FILE   write the counterexample schedule to FILE\n"
-      "                      (default: <slug>.pmlsched with '/' -> '_')\n"
-      "  --replay FILE       deterministically re-execute a .pmlsched\n"
-      "                      counterexample written by --verify\n"
-      "  -h, --help          this text\n");
-  return 0;
+int usage_error(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n(try --list)\n", message.c_str());
+  return 2;
 }
 
-[[noreturn]] void usage_error(const std::string& message) {
-  std::fprintf(stderr, "error: %s\n(try --list)\n", message.c_str());
-  std::exit(2);
+/// Writes one JSON document to \p path ("-" = stdout) and, for a file,
+/// \p note to stderr. False when the file cannot be opened.
+bool write_to(const std::string& path, const std::string& note,
+              const std::function<void(std::ostream&)>& write) {
+  if (path == "-") {
+    write(std::cout);
+    return true;
+  }
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    return false;
+  }
+  write(out);
+  std::fprintf(stderr, "%s\n", note.c_str());
+  return true;
 }
+
+using ull = unsigned long long;
 
 }  // namespace
 
 int main(int argc, char** argv) {
   pml::Registry& reg = pml::patternlets::ensure_registered();
-  if (argc < 2) return list_collection(reg);
-
-  std::string slug;
-  bool show_only = false;
-  bool listing_only = false;
-  bool timeline = false;
-  bool explain = false;
-  pml::TimelineOptions timeline_options;
-  std::string trace_json_path;
-  std::string metrics_json_path;
-  std::string verify_out_path;
-  std::string replay_path;
-  pml::RunSpec spec;
-  spec.mirror_stdout = false;
-  // PML_CHAOS in the environment supplies a default chaos seed so whole
-  // classroom sessions (or CI sweeps) can run perturbed without editing
-  // every command line; --chaos-seed overrides it.
-  if (const char* env = std::getenv("PML_CHAOS")) {
-    spec.chaos_seed = std::strtoull(env, nullptr, 10);
+  pml::cli::Invocation inv;
+  try {
+    inv = pml::cli::parse({argv + 1, argv + argc},
+                          [](const char* name) -> const char* { return std::getenv(name); });
+  } catch (const pml::UsageError& e) {
+    return usage_error(e.what());
   }
-  // PML_FAULT likewise supplies a default fault spec (CI fault sweeps);
-  // --fault overrides it.
-  if (const char* env = std::getenv("PML_FAULT")) {
-    spec.fault_spec = env;
+  switch (inv.action) {
+    case pml::cli::Action::kList: return list_collection(reg);
+    case pml::cli::Action::kListRacy: return list_racy(reg);
+    case pml::cli::Action::kHelp:
+      std::fputs(pml::cli::help().c_str(), stdout);
+      return 0;
+    default: break;
   }
-  // PML_CKPT enables checkpoint/restart (CI crash+restart sweeps); its
-  // value is the commit interval ("1" = commit every checkpoint call).
-  if (const char* env = std::getenv("PML_CKPT")) {
-    try {
-      const std::uint64_t n = pml::env::parse_u64("PML_CKPT", env);
-      if (n == 0 || n > 0xffffffffULL) {
-        usage_error("PML_CKPT must be a positive 32-bit commit interval");
-      }
-      spec.ckpt = true;
-      spec.ckpt_interval = static_cast<std::uint32_t>(n);
-    } catch (const pml::UsageError& e) {
-      usage_error(e.what());
-    }
-  }
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* what) -> std::string {
-      if (i + 1 >= argc) usage_error(std::string(what) + " needs an argument");
-      return argv[++i];
-    };
-    if (arg == "--list") return list_collection(reg);
-    if (arg == "--list-racy") return list_racy(reg);
-    if (arg == "-h" || arg == "--help") return help();
-    if (arg == "--show") {
-      show_only = true;
-      slug = next("--show");
-    } else if (arg == "--listing") {
-      listing_only = true;
-      slug = next("--listing");
-    } else if (arg == "--timeline") {
-      timeline = true;
-    } else if (arg == "--timeline-lane-program") {
-      timeline = true;
-      timeline_options.include_program_lane = true;
-    } else if (arg == "--profile") {
-      spec.profile = true;
-    } else if (arg == "--trace-json") {
-      trace_json_path = next("--trace-json");
-      spec.profile = true;
-    } else if (arg == "--explain") {
-      explain = true;
-      spec.profile = true;
-    } else if (arg == "--metrics-json") {
-      metrics_json_path = next("--metrics-json");
-      spec.profile = true;
-    } else if (arg == "--obs-ring-spans") {
-      const long n = std::atol(next("--obs-ring-spans").c_str());
-      if (n <= 0) usage_error("--obs-ring-spans must be positive");
-      spec.obs_ring_spans = static_cast<std::size_t>(n);
-    } else if (arg == "-t" || arg == "--tasks") {
-      spec.tasks = std::atoi(next("-t").c_str());
-    } else if (arg == "--on") {
-      spec.toggle_overrides.emplace_back(next("--on"), true);
-    } else if (arg == "--off") {
-      spec.toggle_overrides.emplace_back(next("--off"), false);
-    } else if (arg == "--all-on") {
-      spec.all_toggles = true;
-    } else if (arg == "--all-off") {
-      spec.all_toggles = false;
-    } else if (arg == "--analyze") {
-      spec.analyze = true;
-    } else if (arg == "--fault") {
-      spec.fault_spec = next("--fault");
-    } else if (arg.rfind("--fault=", 0) == 0) {
-      spec.fault_spec = arg.substr(8);
-    } else if (arg == "--ckpt") {
-      spec.ckpt = true;
-    } else if (arg == "--ckpt-interval") {
-      const std::string text = next("--ckpt-interval");
-      try {
-        const std::uint64_t n = pml::env::parse_u64("--ckpt-interval", text);
-        if (n == 0 || n > 0xffffffffULL) {
-          usage_error("--ckpt-interval must be a positive 32-bit count");
-        }
-        spec.ckpt_interval = static_cast<std::uint32_t>(n);
-      } catch (const pml::UsageError& e) {
-        usage_error(e.what());
-      }
-      spec.ckpt = true;
-    } else if (arg == "--ckpt-file") {
-      spec.ckpt_file = next("--ckpt-file");
-      spec.ckpt = true;
-    } else if (arg == "--restart-from") {
-      spec.restart_from = next("--restart-from");
-    } else if (arg == "--verify") {
-      spec.verify = true;
-    } else if (arg == "--verify-bound") {
-      spec.verify_bound = std::atoi(next("--verify-bound").c_str());
-      if (spec.verify_bound < 0) usage_error("--verify-bound must be >= 0");
-    } else if (arg == "--verify-budget") {
-      const long n = std::atol(next("--verify-budget").c_str());
-      if (n <= 0) usage_error("--verify-budget must be positive");
-      spec.verify_budget = static_cast<std::uint64_t>(n);
-    } else if (arg == "--verify-mode") {
-      spec.verify_mode = next("--verify-mode");
-    } else if (arg == "--verify-out") {
-      verify_out_path = next("--verify-out");
-    } else if (arg == "--replay") {
-      replay_path = next("--replay");
-    } else if (arg == "--chaos-seed") {
-      const std::string text = next("--chaos-seed");
-      char* end = nullptr;
-      spec.chaos_seed = std::strtoull(text.c_str(), &end, 10);
-      if (text.empty() || end == nullptr || *end != '\0') {
-        usage_error("--chaos-seed expects a number, got '" + text + "'");
-      }
-    } else if (arg == "-p" || arg == "--param") {
-      const std::string kv = next("-p");
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos) usage_error("-p expects key=value");
-      spec.params[kv.substr(0, eq)] = std::atol(kv.substr(eq + 1).c_str());
-    } else if (!arg.empty() && arg[0] != '-') {
-      slug = arg;
-    } else {
-      usage_error("unknown flag '" + arg + "'");
-    }
-  }
-
-  if (!replay_path.empty()) {
-    // Load the counterexample and reconstruct the exact configuration it
-    // was found under; command-line config flags are ignored on replay.
-    std::ifstream in(replay_path);
-    if (!in) usage_error("cannot read schedule file: " + replay_path);
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    try {
-      const pml::verify::Schedule schedule = pml::verify::Schedule::parse(text);
-      if (slug.empty()) slug = schedule.slug;
-      spec.tasks = schedule.tasks;
-      spec.toggle_overrides = schedule.toggles;
-      spec.all_toggles.reset();
-      spec.params.clear();
-      for (const auto& [name, value] : schedule.params) spec.params[name] = value;
-      spec.fault_spec = schedule.fault_spec;
-      spec.verify_bound = schedule.bound;
-      spec.verify_mode = schedule.mode;
-      spec.chaos_seed = 0;
-    } catch (const pml::UsageError& e) {
-      usage_error(std::string("bad schedule file: ") + e.what());
-    }
-    spec.replay_schedule = std::move(text);
-  }
-
-  if (slug.empty()) usage_error("no patternlet named");
-  const pml::Patternlet* p = reg.find(slug);
-  if (p == nullptr) usage_error("no such patternlet: " + slug);
-  if (show_only) return show(*p);
-  if (listing_only) {
-    const auto listing = pml::patternlets::listing_for(slug);
+  const pml::RunSpec& spec = inv.spec;
+  const pml::Patternlet* p = reg.find(inv.slug);
+  if (p == nullptr) return usage_error("no such patternlet: " + inv.slug);
+  if (inv.action == pml::cli::Action::kShow) return show(*p);
+  if (inv.action == pml::cli::Action::kListing) {
+    const auto listing = pml::patternlets::listing_for(p->slug);
     if (!listing) {
-      std::fprintf(stderr, "the paper prints no full listing for %s\n", slug.c_str());
+      std::fprintf(stderr, "the paper prints no full listing for %s\n", p->slug.c_str());
       return 1;
     }
-    std::printf("// %s — %s (paper %s)\n%s", listing->filename.c_str(),
-                p->title.c_str(), listing->figure.c_str(), listing->code.c_str());
+    std::printf("// %s — %s (paper %s)\n%s", listing->filename.c_str(), p->title.c_str(),
+                listing->figure.c_str(), listing->code.c_str());
     return 0;
   }
 
-  if (trace_json_path == "-" && metrics_json_path == "-") {
-    usage_error("--trace-json - and --metrics-json - both claim stdout; "
-                "write at least one to a file");
-  }
-  // '-' turns stdout into the JSON document itself, so the program's own
-  // output must not precede it.
-  const bool stdout_is_json = trace_json_path == "-" || metrics_json_path == "-";
-
   try {
     const pml::RunResult result = pml::run(*p, spec);
-    if (!stdout_is_json) {
+    // '-' turns stdout into the JSON document itself, so the program's own
+    // output must not precede it.
+    if (inv.trace_json_path != "-" && inv.metrics_json_path != "-") {
       for (const auto& line : result.output) std::printf("%s\n", line.text.c_str());
     }
-    if (timeline) {
-      std::printf("\n%s", pml::render_timeline(result.output, timeline_options).c_str());
+    if (inv.timeline) {
+      std::printf("\n%s", pml::render_timeline(result.output, inv.timeline_options).c_str());
     }
-    std::fprintf(stderr, "\n[%s | %d tasks | %s | %.3f ms]\n", p->slug.c_str(),
-                 result.tasks, result.toggles.to_string().c_str(),
-                 result.seconds * 1e3);
-    if (result.chaos_seed != 0 || result.expected_updates.has_value()) {
-      if (result.expected_updates.has_value()) {
-        std::fprintf(stderr,
-                     "[chaos seed %llu | expected %ld, observed %ld | %s]\n",
-                     static_cast<unsigned long long>(result.chaos_seed),
-                     *result.expected_updates, *result.observed_updates,
-                     result.race_manifested()
-                         ? (std::to_string(result.lost_updates()) +
-                            " updates lost — the race fired")
-                               .c_str()
-                         : "exact — no race manifested");
-      } else {
-        std::fprintf(stderr, "[chaos seed %llu | no race probe in this patternlet]\n",
-                     static_cast<unsigned long long>(result.chaos_seed));
-      }
+    std::fprintf(stderr, "\n[%s | %d tasks | %s | %.3f ms]\n", p->slug.c_str(), result.tasks,
+                 result.toggles.to_string().c_str(), result.seconds * 1e3);
+    if (result.expected_updates.has_value()) {
+      const std::string verdict =
+          result.race_manifested()
+              ? std::to_string(result.lost_updates()) + " updates lost — the race fired"
+              : "exact — no race manifested";
+      std::fprintf(stderr, "[chaos seed %llu | expected %ld, observed %ld | %s]\n",
+                   ull(result.chaos_seed), *result.expected_updates,
+                   *result.observed_updates, verdict.c_str());
+    } else if (result.chaos_seed != 0) {
+      std::fprintf(stderr, "[chaos seed %llu | no race probe in this patternlet]\n",
+                   ull(result.chaos_seed));
     }
     if (result.fault_stats.has_value()) {
       const pml::fault::Stats& fs = *result.fault_stats;
       std::fprintf(stderr,
                    "[fault: %s | seed %llu | dropped %llu delayed %llu "
                    "duplicated %llu crashed %llu]\n",
-                   spec.fault_spec.c_str(),
-                   static_cast<unsigned long long>(fs.seed),
-                   static_cast<unsigned long long>(fs.dropped),
-                   static_cast<unsigned long long>(fs.delayed),
-                   static_cast<unsigned long long>(fs.duplicated),
-                   static_cast<unsigned long long>(fs.crashed));
+                   spec.fault_spec.c_str(), ull(fs.seed), ull(fs.dropped), ull(fs.delayed),
+                   ull(fs.duplicated), ull(fs.crashed));
       if (result.fault_abort.has_value()) {
-        std::fprintf(stderr, "[fault] job aborted: %s\n",
-                     result.fault_abort->c_str());
+        std::fprintf(stderr, "[fault] job aborted: %s\n", result.fault_abort->c_str());
       }
     }
     if (result.ckpt_stats.has_value()) {
@@ -448,47 +184,29 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "[ckpt: interval %u | commits %llu restarts %llu | "
                    "%llu bytes in %llu us | restored ranks %llu]\n",
-                   spec.ckpt_interval,
-                   static_cast<unsigned long long>(cs.commits),
-                   static_cast<unsigned long long>(cs.restarts),
-                   static_cast<unsigned long long>(cs.bytes),
-                   static_cast<unsigned long long>(cs.write_micros),
-                   static_cast<unsigned long long>(cs.restored_ranks));
+                   spec.ckpt_interval, ull(cs.commits), ull(cs.restarts), ull(cs.bytes),
+                   ull(cs.write_micros), ull(cs.restored_ranks));
     }
     if (result.metrics.has_value()) {
-      std::fprintf(stderr, "\n%s", result.metrics->table().c_str());
-      if (!trace_json_path.empty()) {
-        if (trace_json_path == "-") {
-          pml::obs::write_chrome_trace(std::cout, *result.metrics);
-        } else {
-          std::ofstream out(trace_json_path);
-          if (!out) {
-            std::fprintf(stderr, "error: cannot write %s\n", trace_json_path.c_str());
-            return 1;
-          }
-          pml::obs::write_chrome_trace(out, *result.metrics);
-          std::fprintf(stderr,
-                       "[trace: %zu spans, %zu flow events -> %s | load at "
-                       "ui.perfetto.dev]\n",
-                       result.metrics->spans.size(),
-                       result.metrics->flows.size(), trace_json_path.c_str());
-        }
+      const pml::obs::Profile& m = *result.metrics;
+      std::fprintf(stderr, "\n%s", m.table().c_str());
+      const std::string& trace = inv.trace_json_path;
+      if (!trace.empty() &&
+          !write_to(trace,
+                    "[trace: " + std::to_string(m.spans.size()) + " spans, " +
+                        std::to_string(m.flows.size()) + " flow events -> " + trace +
+                        " | load at ui.perfetto.dev]",
+                    [&m](std::ostream& o) { pml::obs::write_chrome_trace(o, m); })) {
+        return 1;
       }
-      if (!metrics_json_path.empty()) {
-        if (metrics_json_path == "-") {
-          pml::obs::write_metrics_json(std::cout, *result.metrics, p->slug);
-        } else {
-          std::ofstream out(metrics_json_path);
-          if (!out) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         metrics_json_path.c_str());
-            return 1;
-          }
-          pml::obs::write_metrics_json(out, *result.metrics, p->slug);
-          std::fprintf(stderr, "[metrics -> %s]\n", metrics_json_path.c_str());
-        }
+      const std::string& metrics = inv.metrics_json_path;
+      if (!metrics.empty() &&
+          !write_to(metrics, "[metrics -> " + metrics + "]", [&](std::ostream& o) {
+            pml::obs::write_metrics_json(o, m, p->slug);
+          })) {
+        return 1;
       }
-      if (explain && result.critical_path.has_value()) {
+      if (inv.explain && result.critical_path.has_value()) {
         std::printf("\n%s", result.critical_path->report().c_str());
       }
     }
@@ -497,11 +215,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "[verify: %s | %llu execution(s), %llu decision(s), "
                    "%llu deduped, %llu step-capped]\n",
-                   spec.verify_mode.c_str(),
-                   static_cast<unsigned long long>(vr.executions),
-                   static_cast<unsigned long long>(vr.decisions),
-                   static_cast<unsigned long long>(vr.deduped),
-                   static_cast<unsigned long long>(vr.step_capped));
+                   spec.verify_mode.c_str(), ull(vr.executions), ull(vr.decisions),
+                   ull(vr.deduped), ull(vr.step_capped));
       if (vr.replay_diverged) {
         std::fprintf(stderr,
                      "replay: execution diverged from the schedule — the "
@@ -509,20 +224,17 @@ int main(int argc, char** argv) {
         return 1;
       }
       if (vr.found) {
-        std::fprintf(stderr, "verify: VIOLATION — %s: %s\n",
-                     vr.finding.kind.c_str(), vr.finding.detail.c_str());
+        std::fprintf(stderr, "verify: VIOLATION — %s: %s\n", vr.finding.kind.c_str(),
+                     vr.finding.detail.c_str());
         if (!vr.analysis.findings.empty()) {
           std::fprintf(stderr, "\n%s", vr.analysis.to_string().c_str());
         }
         std::fprintf(stderr, "%s\n", pml::remediation_for(*p).c_str());
         if (result.counterexample.has_value() && spec.replay_schedule.empty()) {
-          std::string path = verify_out_path;
+          std::string path = inv.verify_out_path;
           if (path.empty()) {
-            path = p->slug;
-            for (char& c : path) {
-              if (c == '/') c = '_';
-            }
-            path += ".pmlsched";
+            path = p->slug + ".pmlsched";
+            std::replace(path.begin(), path.end(), '/', '_');
           }
           std::ofstream sched_out(path);
           if (!sched_out) {
@@ -537,15 +249,14 @@ int main(int argc, char** argv) {
         }
         return 3;
       }
-      if (spec.replay_schedule.empty()) {
-        std::fprintf(stderr,
-                     vr.quiesced
-                         ? "verify: quiesced — no violation in the bounded "
-                           "schedule space\n"
-                         : "verify: budget exhausted without a violation "
-                           "(raise --verify-budget to keep searching)\n");
-      } else {
+      if (!spec.replay_schedule.empty()) {
         std::fprintf(stderr, "replay: schedule re-executed, no violation\n");
+      } else if (vr.quiesced) {
+        std::fprintf(stderr, "verify: quiesced — no violation in the bounded schedule space\n");
+      } else {
+        std::fprintf(stderr,
+                     "verify: budget exhausted without a violation "
+                     "(raise --verify-budget to keep searching)\n");
       }
     } else if (result.analysis.has_value()) {
       const pml::analyze::Report& report = *result.analysis;

@@ -52,6 +52,77 @@ void bind_output_hooks(ckpt::Store& store, OutputCapture& out) {
   };
 }
 
+/// What one execution's windows collected.
+struct Harvest {
+  double seconds = 0.0;  ///< Window set-up plus the body.
+  std::optional<obs::Profile> metrics;
+  std::optional<fault::Stats> fault_stats;
+  std::optional<ckpt::Stats> ckpt_stats;
+  std::optional<std::string> fault_abort;
+};
+
+/// Runs the body once inside the fault, checkpoint and profile windows
+/// \p spec asks for and harvests all three into \p h. A caller's chaos
+/// window stays outside, so an unseeded fault spec inherits the chaos seed
+/// (fault::effective_seed falls back to sched::seed()). Under injection a
+/// RuntimeFault the body lets escape (deadlock diagnosis, collective
+/// timeout, node crash) IS the demonstration: it lands in h.fault_abort
+/// instead of failing the run. Any other exception propagates after the
+/// harvest, so a scheduler terminal keeps the spans that show where every
+/// lane stopped.
+void execute(const Patternlet& p, RunContext& ctx, const RunSpec& spec, Harvest& h) {
+  const auto t0 = std::chrono::steady_clock::now();
+  // A bad spec throws UsageError here, before the body.
+  std::optional<fault::FaultScope> faults;
+  if (!spec.fault_spec.empty()) faults.emplace(fault::FaultPlan::parse(spec.fault_spec));
+  // Installs the process-wide store mp::run picks up, wired to this run's
+  // output capture for replay-prefix rollback.
+  std::optional<ckpt::Scope> ckpts;
+  if (spec.ckpt || !spec.restart_from.empty()) {
+    ckpts.emplace(ckpt_options_for(spec));
+    bind_output_hooks(ckpts->store(), ctx.out);
+  }
+  // finish() runs after the body returned, i.e. after every team thread /
+  // rank joined — the merge contract obs::Scope documents.
+  std::optional<obs::Scope> profiling;
+  if (spec.profile) profiling.emplace(spec.obs_ring_spans);
+  const auto harvest = [&] {
+    h.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    if (faults.has_value()) h.fault_stats = fault::stats();
+    if (ckpts.has_value()) h.ckpt_stats = ckpts->store().stats();
+    if (profiling.has_value()) h.metrics = profiling->finish();
+  };
+  try {
+    p.body(ctx);
+  } catch (const RuntimeFault& e) {
+    if (!faults.has_value()) {
+      harvest();
+      throw;
+    }
+    h.fault_abort = e.what();
+  } catch (...) {
+    harvest();
+    throw;
+  }
+  harvest();
+}
+
+/// The RunResult fields both paths fill alike, from one execution.
+RunResult collect(const Patternlet& p, int tasks, ToggleSet toggles,
+                  std::vector<OutputLine> output, std::vector<TraceEvent> trace, Harvest& h) {
+  RunResult result;
+  result.slug = p.slug;
+  result.tasks = tasks;
+  result.toggles = std::move(toggles);
+  result.output = std::move(output);
+  result.trace = std::move(trace);
+  result.seconds = h.seconds;
+  result.metrics = std::move(h.metrics);
+  if (result.metrics.has_value()) result.critical_path = obs::critical_path(*result.metrics);
+  result.ckpt_stats = h.ckpt_stats;
+  return result;
+}
+
 /// Verification path of run(): hands the configured body to pml::verify,
 /// which executes it repeatedly under controlled scheduling. Each execution
 /// gets a fresh capture/trace/context; the surviving output is the
@@ -76,8 +147,7 @@ RunResult run_verified(const Patternlet& p, const RunSpec& spec, int tasks,
 
   std::vector<OutputLine> last_output;
   std::vector<TraceEvent> last_trace;
-  std::optional<obs::Profile> last_metrics;
-  std::optional<ckpt::Stats> last_ckpt_stats;
+  Harvest last;
   std::optional<long> expected_updates;
   std::optional<long> observed_updates;
   OutputCapture out;
@@ -86,44 +156,19 @@ RunResult run_verified(const Patternlet& p, const RunSpec& spec, int tasks,
     out.clear();
     Trace trace;
     RunContext ctx{tasks, toggles, out, trace, spec.params};
-    // Per-execution profile scope: on a violation the last execution *is*
-    // the violating one, so --trace-json renders the counterexample's
-    // schedule in Perfetto.
-    std::optional<obs::Scope> profiling;
-    if (spec.profile) profiling.emplace(spec.obs_ring_spans);
-    // The fault window opens per execution so fault counters and crash
-    // countdowns restart with the schedule. A bad spec throws UsageError
-    // out of explore() on the first execution.
-    std::optional<fault::FaultScope> faults;
-    if (!spec.fault_spec.empty()) {
-      faults.emplace(fault::FaultPlan::parse(spec.fault_spec));
-    }
-    // The checkpoint window likewise opens per execution, so commit
-    // counters and the committed cut restart with the schedule — a
-    // crash+restart recovery is explored (and replayed) deterministically.
-    std::optional<ckpt::Scope> ckpts;
-    if (spec.ckpt || !spec.restart_from.empty()) {
-      ckpts.emplace(ckpt_options_for(spec));
-      bind_output_hooks(ckpts->store(), out);
-    }
+    // The windows open per execution, so fault counters, crash countdowns
+    // and the committed cut restart with the schedule, and on a violation
+    // the last execution's profile *is* the violating one (--trace-json
+    // renders the counterexample's schedule). A bad fault spec throws
+    // UsageError out of explore() on the first execution.
+    last = Harvest{};
     try {
-      p.body(ctx);
-    } catch (const RuntimeFault&) {
-      // Parity with the normal path: under injection a runtime fault is
-      // the demonstration, not a bug. The scheduler's own terminal checks
-      // (deadlock, lost signal) already classified anything interesting.
-      if (!faults.has_value()) throw;
+      execute(p, ctx, spec, last);
     } catch (...) {
-      // A scheduler terminal (deadlock, budget) aborts the execution
-      // mid-body; keep its spans — they show *where* every lane stopped.
-      if (profiling.has_value()) last_metrics = profiling->finish();
-      if (ckpts.has_value()) last_ckpt_stats = ckpts->store().stats();
       last_output = out.lines();
       last_trace = trace.events();
       throw;
     }
-    if (profiling.has_value()) last_metrics = profiling->finish();
-    if (ckpts.has_value()) last_ckpt_stats = ckpts->store().stats();
     last_output = out.lines();
     last_trace = trace.events();
     if (ctx.probe.used()) {
@@ -145,25 +190,17 @@ RunResult run_verified(const Patternlet& p, const RunSpec& spec, int tasks,
   }
   const auto t1 = std::chrono::steady_clock::now();
 
-  RunResult result;
-  result.slug = p.slug;
-  result.tasks = tasks;
-  result.output = std::move(last_output);
-  result.trace = std::move(last_trace);
-  result.metrics = std::move(last_metrics);
-  if (result.metrics.has_value()) {
-    result.critical_path = obs::critical_path(*result.metrics);
-  }
+  RunResult result = collect(p, tasks, std::move(toggles), std::move(last_output),
+                             std::move(last_trace), last);
   result.seconds = std::chrono::duration<double>(t1 - t0).count();
   result.expected_updates = expected_updates;
   result.observed_updates = observed_updates;
-  result.ckpt_stats = last_ckpt_stats;
   if (vr.found) {
     // Stamp the counterexample with the full configuration so --replay can
     // reconstruct this exact run from the file alone.
     vr.counterexample.slug = p.slug;
     vr.counterexample.tasks = tasks;
-    vr.counterexample.toggles = toggles.values();
+    vr.counterexample.toggles = result.toggles.values();
     for (const auto& [name, value] : spec.params) {
       vr.counterexample.params.emplace_back(name, value);
     }
@@ -171,7 +208,6 @@ RunResult run_verified(const Patternlet& p, const RunSpec& spec, int tasks,
     result.counterexample = vr.counterexample.to_string();
   }
   if (!vr.analysis.findings.empty()) result.analysis = vr.analysis;
-  result.toggles = std::move(toggles);
   result.verification = std::move(vr);
   return result;
 }
@@ -199,51 +235,13 @@ RunResult run(const Patternlet& p, const RunSpec& spec) {
   std::optional<analyze::Scope> analysis;
   if (spec.analyze) analysis.emplace();
 
-  // Profiling window likewise covers exactly the body. finish() below runs
-  // after the body returned, i.e. after every team thread / rank joined —
-  // the merge contract obs::Scope documents.
-  std::optional<obs::Scope> profiling;
-  if (spec.profile) profiling.emplace(spec.obs_ring_spans);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  std::optional<fault::Stats> fault_stats;
-  std::optional<ckpt::Stats> ckpt_stats;
-  std::optional<std::string> fault_abort;
+  // Perturbation window covers exactly the body and stays outermost: the
+  // scope restores the previous seed even if the body throws.
+  Harvest h;
   {
-    // Perturbation window covers exactly the body: the scope restores the
-    // previous seed even if the body throws.
     sched::ChaosScope chaos{spec.chaos_seed};
-    // The fault window nests inside the chaos window so an unseeded fault
-    // spec inherits the chaos seed (fault::effective_seed falls back to
-    // sched::seed()). A bad spec throws UsageError here, before the body.
-    std::optional<fault::FaultScope> faults;
-    if (!spec.fault_spec.empty()) {
-      faults.emplace(fault::FaultPlan::parse(spec.fault_spec));
-    }
-    // Checkpoint window: installs the process-wide store mp::run picks up,
-    // wired to this run's output capture for replay-prefix rollback.
-    std::optional<ckpt::Scope> ckpts;
-    if (spec.ckpt || !spec.restart_from.empty()) {
-      ckpts.emplace(ckpt_options_for(spec));
-      bind_output_hooks(ckpts->store(), out);
-    }
-    try {
-      p.body(ctx);
-    } catch (const RuntimeFault& e) {
-      // Under injection a runtime fault (deadlock diagnosis, collective
-      // timeout, node crash) IS the demonstration: record it as the run's
-      // outcome instead of failing the runner. Without injection the old
-      // contract holds — a patternlet that throws is a bug.
-      if (!faults.has_value()) throw;
-      fault_abort = e.what();
-    }
-    if (faults.has_value()) fault_stats = fault::stats();
-    if (ckpts.has_value()) ckpt_stats = ckpts->store().stats();
+    execute(p, ctx, spec, h);
   }
-  const auto t1 = std::chrono::steady_clock::now();
-
-  std::optional<obs::Profile> metrics;
-  if (profiling.has_value()) metrics = profiling->finish();
 
   // Harvest the lost-update probe into the trace so the report rides the
   // same channel as the schedule figures: task -1 (the orchestrator),
@@ -265,26 +263,16 @@ RunResult run(const Patternlet& p, const RunSpec& spec) {
     }
   }
 
-  RunResult result;
-  result.slug = p.slug;
-  result.tasks = tasks;
-  result.toggles = std::move(toggles);
-  result.output = out.lines();
-  result.trace = trace.events();
-  result.seconds = std::chrono::duration<double>(t1 - t0).count();
+  RunResult result =
+      collect(p, tasks, std::move(toggles), out.lines(), trace.events(), h);
   result.chaos_seed = spec.chaos_seed;
   if (ctx.probe.used()) {
     result.expected_updates = ctx.probe.expected();
     result.observed_updates = ctx.probe.observed();
   }
   result.analysis = std::move(report);
-  result.metrics = std::move(metrics);
-  if (result.metrics.has_value()) {
-    result.critical_path = obs::critical_path(*result.metrics);
-  }
-  result.fault_stats = fault_stats;
-  result.ckpt_stats = ckpt_stats;
-  result.fault_abort = std::move(fault_abort);
+  result.fault_stats = h.fault_stats;
+  result.fault_abort = std::move(h.fault_abort);
   return result;
 }
 

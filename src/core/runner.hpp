@@ -29,11 +29,11 @@ namespace pml {
 struct RunSpec {
   int tasks = 0;  ///< 0 = use the patternlet's default_tasks.
   /// (name, value) overrides applied on top of the declared defaults.
-  std::vector<std::pair<std::string, bool>> toggle_overrides;
+  std::vector<std::pair<std::string, bool>> toggle_overrides{};
   /// If set, *every* declared toggle is forced to this value first
   /// (then toggle_overrides apply). Mirrors "uncomment everything".
-  std::optional<bool> all_toggles;
-  std::map<std::string, long> params;  ///< Numeric parameter overrides.
+  std::optional<bool> all_toggles{};
+  std::map<std::string, long> params{};  ///< Numeric parameter overrides.
   bool mirror_stdout = false;          ///< Live-echo output (classroom mode).
   /// Nonzero: run under pml::sched schedule perturbation with this seed, so
   /// staged races manifest reproducibly (`--chaos-seed` in the runner).
@@ -57,7 +57,7 @@ struct RunSpec {
   /// body lets escape (a job the injected faults killed) is captured into
   /// RunResult::fault_abort instead of propagating — the run "failed as
   /// demonstrated", which is the lesson.
-  std::string fault_spec;
+  std::string fault_spec{};
   /// Run under pml::verify systematic schedule exploration (`--verify`):
   /// the body executes repeatedly, one runnable lane at a time, while the
   /// explorer enumerates interleavings under the bound policy. Every
@@ -71,7 +71,7 @@ struct RunSpec {
   /// Non-empty: re-execute this serialized `.pmlsched` schedule exactly
   /// (`--replay FILE` in the runner). The caller configures tasks /
   /// toggles / params / fault_spec from the schedule's metadata.
-  std::string replay_schedule;
+  std::string replay_schedule{};
   /// Nonzero: per-thread obs span-ring capacity for this run
   /// (`--obs-ring-spans` in the runner). 0 defers to PML_OBS_RING_SPANS,
   /// then the built-in default; overflow is counted in
@@ -85,8 +85,8 @@ struct RunSpec {
   bool ckpt = false;
   std::uint32_t ckpt_interval = 1;  ///< Commit every Nth checkpoint() call.
   int ckpt_max_restarts = 4;        ///< Recovery attempts before giving up.
-  std::string ckpt_file;      ///< `--ckpt-file`: persist committed cuts here.
-  std::string restart_from;   ///< `--restart-from`: adopt this snapshot file.
+  std::string ckpt_file{};    ///< `--ckpt-file`: persist committed cuts here.
+  std::string restart_from{}; ///< `--restart-from`: adopt this snapshot file.
 };
 
 /// Everything observable from one patternlet execution.

@@ -263,8 +263,11 @@ class Communicator {
     for (int attempt = 1;; ++attempt) {
       const std::uint64_t id = state_->next_ack.fetch_add(1);
       auto event = state_->register_ack(id);
-      Payload copy = bytes;
-      post(dest, tag, std::move(copy), large, id);
+      // The last permitted attempt gives the body away; earlier ones keep
+      // it for a resend, which costs a counted payload-plane copy.
+      const bool last = attempt >= policy.max_attempts;
+      if (!last) count_payload_copy(bytes.size());
+      post(dest, tag, last ? std::move(bytes) : Payload(bytes), large, id);
       // Bounded wait, so never counted blocked for the watchdog: it
       // always recovers on its own.
       bool acked;
@@ -277,7 +280,7 @@ class Communicator {
       // The ack may have landed between the timeout and the forget;
       // honor it rather than resending a message that arrived.
       if (event->is_set()) return attempt;
-      if (attempt >= policy.max_attempts) {
+      if (last) {
         // Withdraw the parked body before giving up: a ticket nobody will
         // claim must not wait for the finalize drain, and any RTS copies
         // still queued become stale no-ops at the receiver.

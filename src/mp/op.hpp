@@ -37,7 +37,7 @@ struct Op {
   /// std::function call per element with one per message — the builtins
   /// supply a plain loop the compiler can vectorize. Leave empty for user
   /// ops and the collectives loop over `combine` instead.
-  std::function<void(T*, const T*, std::size_t)> combine_n;
+  std::function<void(T*, const T*, std::size_t)> combine_n{};
 };
 
 namespace op_detail {

@@ -210,8 +210,9 @@ class InlinePayload {
       cap_ = kInlineBytes;
       size_ = other.size_;
       // Fixed-size copy (see the copy constructor): cheaper than a
-      // runtime-length memcpy call for every small-body hop.
-      std::memcpy(inline_, other.inline_, kInlineBytes);
+      // runtime-length memcpy call for every small-body hop. An empty body
+      // has nothing to copy, and a fresh one not a byte initialized.
+      if (size_ != 0) std::memcpy(inline_, other.inline_, kInlineBytes);
       other.size_ = 0;
     }
   }

@@ -9,7 +9,6 @@
 
 #include "analyze/analyze.hpp"
 #include "ckpt/ckpt.hpp"
-#include "core/env.hpp"
 #include "fault/fault.hpp"
 #include "mp/communicator.hpp"
 #include "obs/obs.hpp"
@@ -74,46 +73,18 @@ void run(int nprocs, const std::function<void(Communicator&)>& program,
 
   // Resolve the env-tunable knobs once, up front, with the strict parser:
   // "PML_MP_EAGER_BYTES=8kb" or a negative timeout fails loudly naming the
-  // variable instead of silently becoming 8 or wrapping around.
-  auto collective_timeout = options.collective_timeout;
-  if (collective_timeout.count() == 0) {
-    if (const auto ms = env::u64("PML_MP_COLLECTIVE_TIMEOUT_MS")) {
-      collective_timeout = std::chrono::milliseconds(static_cast<long long>(*ms));
-    }
-  }
-  std::size_t eager_bytes = kDefaultEagerBytes;
-  if (options.eager_bytes.has_value()) {
-    eager_bytes = *options.eager_bytes;
-  } else if (const auto bytes = env::u64("PML_MP_EAGER_BYTES")) {
-    // The threshold is a size, and an explicit "0" (route every non-empty
-    // body through the rendezvous) is meaningful.
-    eager_bytes = static_cast<std::size_t>(*bytes);
-  }
-  std::size_t coll_segment_bytes = kDefaultCollSegmentBytes;
-  if (options.coll_segment_bytes.has_value()) {
-    coll_segment_bytes = *options.coll_segment_bytes;
-  } else if (const auto bytes = env::u64("PML_MP_COLL_SEGMENT_BYTES")) {
-    // An explicit "0" disables segmentation and the ring auto-selection.
-    coll_segment_bytes = static_cast<std::size_t>(*bytes);
-  }
-  CollAlgorithm coll_algorithm = CollAlgorithm::kAuto;
-  if (options.coll_algorithm.has_value()) {
-    coll_algorithm = *options.coll_algorithm;
-  } else if (const char* env = std::getenv("PML_MP_COLL_ALGO")) {
-    const std::string algo(env);
-    if (algo == "auto") {
-      coll_algorithm = CollAlgorithm::kAuto;
-    } else if (algo == "tree") {
-      coll_algorithm = CollAlgorithm::kTree;
-    } else if (algo == "ring") {
-      coll_algorithm = CollAlgorithm::kRing;
-    } else if (algo == "butterfly") {
-      coll_algorithm = CollAlgorithm::kButterfly;
-    } else {
-      throw UsageError("PML_MP_COLL_ALGO must be auto|tree|ring|butterfly, got \"" +
-                       algo + "\"");
-    }
-  }
+  // variable instead of silently becoming 8 or wrapping around. A zero
+  // RunOptions::collective_timeout means "unset".
+  const auto collective_timeout = kCollectiveTimeoutKnob.resolve(
+      options.collective_timeout.count() != 0 ? std::optional(options.collective_timeout)
+                                              : std::nullopt,
+      std::chrono::milliseconds{0});
+  const std::size_t eager_bytes =
+      kEagerBytesKnob.resolve(options.eager_bytes, kDefaultEagerBytes);
+  const std::size_t coll_segment_bytes =
+      kCollSegmentBytesKnob.resolve(options.coll_segment_bytes, kDefaultCollSegmentBytes);
+  const CollAlgorithm coll_algorithm =
+      kCollAlgorithmKnob.resolve(options.coll_algorithm, CollAlgorithm::kAuto);
 
   // Checkpoint store: a process-wide ckpt::Scope (the runner's --ckpt)
   // wins; otherwise RunOptions::checkpoint_interval builds a job-local

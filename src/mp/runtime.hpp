@@ -23,6 +23,7 @@
 
 #include "core/trace.hpp"
 #include "mp/cluster.hpp"
+#include "mp/knobs.hpp"
 #include "mp/mailbox.hpp"
 #include "mp/rendezvous.hpp"
 #include "thread/condvar.hpp"
@@ -34,19 +35,6 @@ class Store;
 namespace pml::mp {
 
 class Communicator;
-
-/// Which collective algorithm the dispatching entry points use. kAuto picks
-/// per call on (payload bytes, communicator size, op commutativity); the
-/// forced values exist for ablation benches and teaching exercises. Forcing
-/// an algorithm whose preconditions a call cannot meet (ring needs a
-/// commutative op; ring/segmentation need a vector body) falls back to the
-/// tree, so a forced run always computes the same result.
-enum class CollAlgorithm {
-  kAuto = 0,   ///< Select per call: bandwidth-optimal when it pays.
-  kTree,       ///< Binomial tree (latency-optimal; the paper's Fig. 19).
-  kRing,       ///< Ring reduce-scatter + allgather (bandwidth-optimal).
-  kButterfly,  ///< Recursive doubling.
-};
 
 /// Default segment threshold for the pipelined tree collectives, and the
 /// "large body" bar above which kAuto prefers the ring: 256 KiB.

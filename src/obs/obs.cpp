@@ -1,7 +1,6 @@
 #include "obs/obs.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -87,9 +86,9 @@ class Collector {
     if (detail::g_active.load(std::memory_order_relaxed) != 0) {
       throw std::logic_error("obs::Scope: a scope is already active");
     }
+    lane_capacity_ = resolve_capacity(ring_spans);
     lanes_.clear();
     task_node_.clear();
-    lane_capacity_ = resolve_capacity(ring_spans);
     high_water_.store(0, std::memory_order_relaxed);
     // next_flow_ is deliberately NOT reset: ids stay unique across scopes,
     // so an envelope stamped under an earlier scope can never alias a fresh
@@ -224,15 +223,10 @@ class Collector {
 
  private:
   /// Explicit capacity wins, then PML_OBS_RING_SPANS, then the default.
-  /// Clamped to >= 1 so a misconfigured environment cannot disable spans
-  /// silently (a 1-span ring still counts every drop exactly).
   static std::size_t resolve_capacity(std::size_t explicit_spans) {
-    if (explicit_spans != 0) return std::max<std::size_t>(explicit_spans, 1);
-    if (const char* env = std::getenv("PML_OBS_RING_SPANS")) {
-      const unsigned long long n = std::strtoull(env, nullptr, 10);
-      if (n != 0) return static_cast<std::size_t>(n);
-    }
-    return kDefaultLaneCapacity;
+    return kRingSpansKnob.resolve(
+        explicit_spans != 0 ? std::optional(explicit_spans) : std::nullopt,
+        kDefaultLaneCapacity);
   }
 
   void record_flow(FlowEvent e) {

@@ -35,8 +35,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <string_view>
 
+#include "core/env.hpp"
 #include "obs/profile.hpp"
 
 namespace pml::obs {
@@ -163,15 +165,25 @@ inline const char* intern(std::string_view label) noexcept {
   return active() ? detail::intern_label(label) : nullptr;
 }
 
+/// PML_OBS_RING_SPANS: the ring capacity a Scope given 0 uses. Positive;
+/// "0" or garbage throws UsageError naming the variable.
+inline constexpr env::Knob<std::size_t> kRingSpansKnob{
+    {"PML_OBS_RING_SPANS",
+     "per-thread span/flow ring capacity under --profile (default 16384)"},
+    [](std::string_view name, std::string_view text) -> std::size_t {
+      return env::parse_in(name, text, 1, std::numeric_limits<std::size_t>::max());
+    }};
+
 /// RAII profiling window. Exactly one may be active process-wide; nesting
 /// throws. finish() merges every thread's span buffer and returns the
 /// Profile (idempotent: later calls return the same data). Call it only
 /// after the instrumented threads have joined — the runner's contract.
 ///
 /// \p ring_spans caps how many spans (and flow events) each participating
-/// thread buffers before counting drops; 0 resolves the PML_OBS_RING_SPANS
-/// environment variable, then the built-in default (16 Ki). Overflow
-/// accounting is exact either way (Profile::spans_dropped / flows_dropped).
+/// thread buffers before counting drops; 0 resolves kRingSpansKnob, then
+/// the built-in default (16 Ki), and a malformed variable throws
+/// UsageError. Overflow accounting is exact either way
+/// (Profile::spans_dropped / flows_dropped).
 class Scope {
  public:
   explicit Scope(std::size_t ring_spans = 0);

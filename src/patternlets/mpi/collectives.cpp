@@ -196,7 +196,7 @@ void register_collectives(Registry& registry) {
               opts.coll_algorithm = ctx.param("ring", 1) != 0
                                         ? pml::mp::CollAlgorithm::kRing
                                         : pml::mp::CollAlgorithm::kTree;
-            } else if (std::getenv("PML_MP_COLL_ALGO") == nullptr) {
+            } else if (std::getenv(pml::mp::kCollAlgorithmKnob.name) == nullptr) {
               opts.coll_algorithm = pml::mp::CollAlgorithm::kRing;
             }
             pml::mp::run(

@@ -47,18 +47,20 @@ TEST(EnvParse, ErrorNamesTheVariableAndTheValue) {
   }
 }
 
-TEST(EnvParse, U64ReadsTheProcessEnvironment) {
+TEST(EnvParse, KnobReadsTheProcessEnvironment) {
+  constexpr Knob<std::uint64_t> knob{{"PML_TEST_ENV_U64", "a test knob"}, &parse_u64};
   ASSERT_EQ(::setenv("PML_TEST_ENV_U64", "42", 1), 0);
-  EXPECT_EQ(u64("PML_TEST_ENV_U64"), std::optional<std::uint64_t>{42});
+  EXPECT_EQ(knob.resolve(std::nullopt, 7), 42u);
+  EXPECT_EQ(knob.resolve(3, 7), 3u);  // a given value wins over the variable
 
   ASSERT_EQ(::setenv("PML_TEST_ENV_U64", "-1", 1), 0);
-  EXPECT_THROW(u64("PML_TEST_ENV_U64"), UsageError);
+  EXPECT_THROW(knob.resolve(std::nullopt, 7), UsageError);
 
   ASSERT_EQ(::setenv("PML_TEST_ENV_U64", "", 1), 0);
-  EXPECT_THROW(u64("PML_TEST_ENV_U64"), UsageError);
+  EXPECT_THROW(knob.resolve(std::nullopt, 7), UsageError);
 
   ASSERT_EQ(::unsetenv("PML_TEST_ENV_U64"), 0);
-  EXPECT_EQ(u64("PML_TEST_ENV_U64"), std::nullopt);
+  EXPECT_EQ(knob.resolve(std::nullopt, 7), 7u);
 }
 
 }  // namespace

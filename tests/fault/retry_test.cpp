@@ -9,12 +9,14 @@
 #include <atomic>
 #include <chrono>
 #include <string>
+#include <vector>
 
 #include "core/error.hpp"
 #include "fault/fault.hpp"
 #include "mp/communicator.hpp"
 #include "mp/op.hpp"
 #include "mp/runtime.hpp"
+#include "obs/obs.hpp"
 
 namespace pml::mp {
 namespace {
@@ -46,6 +48,41 @@ TEST(SendWithRetry, RecoversFromASingleDrop) {
   EXPECT_EQ(attempts.load(), 2);  // first delivery dropped, second landed
   EXPECT_EQ(received.load(), 42);
   EXPECT_EQ(fault::stats().dropped, 1u);
+}
+
+TEST(SendWithRetry, CountsTheCopyEachResendKeeps) {
+  // A 1 KiB body is eager (under the 8 KiB threshold) but spilled (over
+  // the 64-byte inline class), so every memcpy of it is a counted
+  // payload-plane copy: the encode, attempt 1's kept copy (dropped), the
+  // last attempt's move (none), and the receiver's decode.
+  constexpr std::size_t kBytes = 1024;
+  obs::Scope profiling;
+  int attempts = 0;
+  {
+    fault::FaultScope scope{fault::FaultPlan::parse("drop:1")};
+    RunOptions opts;
+    opts.eager_bytes = kDefaultEagerBytes;
+    run(
+        2,
+        [&](Communicator& world) {
+          if (world.rank() == 0) {
+            RetryPolicy policy;
+            policy.max_attempts = 2;
+            policy.initial_backoff = 100ms;
+            attempts = world.send_with_retry(std::vector<char>(kBytes, 'x'), 1, 3, policy);
+          } else {
+            EXPECT_EQ(world.recv<std::vector<char>>(0, 3).size(), kBytes);
+          }
+        },
+        opts);
+  }
+  const obs::Profile p = profiling.finish();
+  ASSERT_EQ(attempts, 2);
+  std::uint64_t copied = 0;
+  for (const auto& [task, metrics] : p.tasks) {
+    copied += metrics.value(obs::Counter::kPayloadBytesCopied);
+  }
+  EXPECT_EQ(copied, 3 * kBytes);
 }
 
 TEST(SendWithRetry, GivesUpOnADeadLinkWithADiagnosis) {

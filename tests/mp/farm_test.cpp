@@ -113,7 +113,9 @@ TEST(Farm, EmptyTaskListStopsWorkersCleanly) {
   run(4, [](Communicator& comm) {
     const std::function<long(const long&)> id = [](const long& t) { return t; };
     const auto results = task_farm<long, long>(comm, {}, id);
-    if (comm.rank() == 0) EXPECT_TRUE(results.empty());
+    if (comm.rank() == 0) {
+      EXPECT_TRUE(results.empty());
+    }
   });
 }
 
@@ -122,7 +124,9 @@ TEST(Farm, FewerTasksThanWorkers) {
     const std::vector<long> tasks = {10, 20};
     const std::function<long(const long&)> half = [](const long& t) { return t / 2; };
     const auto results = task_farm<long, long>(comm, tasks, half);
-    if (comm.rank() == 0) EXPECT_EQ(results, (std::vector<long>{5, 10}));
+    if (comm.rank() == 0) {
+      EXPECT_EQ(results, (std::vector<long>{5, 10}));
+    }
   });
 }
 

@@ -211,7 +211,9 @@ TEST(InlinePayloadSbo, CopyAssignAcrossAllStorageQuadrants) {
       EXPECT_EQ(dst, src);
       // A spilled target keeps its heap capacity (like std::vector), so
       // only the reverse implication holds: a big body forces a spill.
-      if (src_n > InlinePayload::kInlineBytes) EXPECT_TRUE(dst.spilled());
+      if (src_n > InlinePayload::kInlineBytes) {
+        EXPECT_TRUE(dst.spilled());
+      }
 
       Payload ctor_copy = src;
       EXPECT_EQ(ctor_copy, src);

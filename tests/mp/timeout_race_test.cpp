@@ -40,8 +40,12 @@ TEST(TimeoutRace, WithdrawalNeverLosesOrDuplicatesAMessage) {
       EXPECT_EQ(seen, 1) << "seed " << seed << " iter " << iter
                          << ": message lost or duplicated across the "
                             "timeout-withdrawal race";
-      if (got.has_value()) EXPECT_EQ(Codec<int>::decode(got->data), 42);
-      if (leftover.has_value()) EXPECT_EQ(Codec<int>::decode(leftover->data), 42);
+      if (got.has_value()) {
+        EXPECT_EQ(Codec<int>::decode(got->data), 42);
+      }
+      if (leftover.has_value()) {
+        EXPECT_EQ(Codec<int>::decode(leftover->data), 42);
+      }
     }
   }
 }

@@ -41,7 +41,9 @@ TEST(Histogram, BucketFloorInvertsBucketOf) {
   for (int b = 1; b < Histogram::kBuckets; ++b) {
     const std::uint64_t lo = Histogram::bucket_floor(b);
     EXPECT_EQ(Histogram::bucket_of(lo), b) << "bucket " << b;
-    if (b > 1) EXPECT_EQ(Histogram::bucket_of(lo - 1), b - 1);
+    if (b > 1) {
+      EXPECT_EQ(Histogram::bucket_of(lo - 1), b - 1);
+    }
   }
 }
 

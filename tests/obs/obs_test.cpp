@@ -8,8 +8,10 @@
 
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
+#include "core/error.hpp"
 #include "core/runner.hpp"
 #include "obs/profile.hpp"
 #include "patternlets/patternlets.hpp"
@@ -189,6 +191,22 @@ TEST(ObsRing, EnvironmentVariableSetsTheDefaultCapacity) {
     EXPECT_EQ(p.spans_dropped, 0u);
   }
   ::unsetenv("PML_OBS_RING_SPANS");
+}
+
+TEST(ObsRing, MalformedEnvironmentVariableThrowsNamingIt) {
+  // Garbage and 0 once silently meant "the default"; now they fail loudly.
+  for (const char* bad : {"abc", "0", "-3", "12x", ""}) {
+    ::setenv("PML_OBS_RING_SPANS", bad, 1);
+    try {
+      Scope scope;
+      ADD_FAILURE() << "PML_OBS_RING_SPANS=\"" << bad << "\" was accepted";
+    } catch (const UsageError& e) {
+      EXPECT_NE(std::string(e.what()).find("PML_OBS_RING_SPANS"), std::string::npos) << e.what();
+    }
+  }
+  ::unsetenv("PML_OBS_RING_SPANS");
+  Scope scope;  // a rejected Scope left none active behind it
+  EXPECT_TRUE(active());
 }
 
 TEST(ObsRing, RunSpecRingSpansReachesTheScope) {

@@ -140,7 +140,9 @@ TEST_F(OmpPatternlets, ChunksOf1DealsRoundRobin) {
   spec.tasks = 4;
   const RunResult r = run("omp/parallelLoopChunksOf1", spec);
   for (const auto& e : r.trace) {
-    if (e.kind == "iteration") EXPECT_EQ(e.task, e.key % 4) << e.key;
+    if (e.kind == "iteration") {
+      EXPECT_EQ(e.task, e.key % 4) << e.key;
+    }
   }
 }
 

@@ -23,7 +23,9 @@ TEST(Tasks, TaskwaitRunsAllDeferredTasks) {
     r.taskwait();
     // Only the producing thread can assert here: another thread's taskwait
     // may have found the pool empty before any task was pushed.
-    if (r.thread_num() == 0) EXPECT_EQ(ran.load(), 100);
+    if (r.thread_num() == 0) {
+      EXPECT_EQ(ran.load(), 100);
+    }
   });
   EXPECT_EQ(ran.load(), 100);
 }

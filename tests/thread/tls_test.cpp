@@ -33,7 +33,8 @@ TEST(TlsKey, EachThreadSeesItsOwnValue) {
   fork_join(8, [&](int id) {
     key.set(id * 100);
     // Give other threads time to overwrite if values were shared.
-    for (volatile int spin = 0; spin < 10000; spin = spin + 1) {
+    for (volatile int spin = 0; spin < 10000;) {
+      spin = spin + 1;
     }
     if (key.get() != id * 100) mismatch = true;
   });
