@@ -26,6 +26,7 @@ Store::~Store() { quiesce(); }
 
 void Store::begin_job() {
   quiesce();
+  baseline_lines_ = output_total ? output_total() : 0;
   std::lock_guard<std::mutex> lock(mu_);
   staged_.clear();
   committed_.reset();
@@ -131,13 +132,21 @@ std::shared_ptr<const GlobalCut> Store::committed() const {
   return committed_;
 }
 
-void Store::drop_staged() {
+void Store::restart(int nprocs) {
+  const std::shared_ptr<const GlobalCut> cut = committed();
+  if (cut != nullptr && cut->nprocs == nprocs) {
+    if (output_rollback) {
+      std::map<int, std::uint64_t> marks;
+      for (int r = 0; r < nprocs; ++r) {
+        marks[r] = cut->ranks[static_cast<std::size_t>(r)].output_lines;
+      }
+      output_rollback(marks);
+    }
+  } else if (output_rollback_total) {
+    output_rollback_total(baseline_lines_);
+  }
   std::lock_guard<std::mutex> lock(mu_);
   staged_.clear();
-}
-
-void Store::note_restart() {
-  std::lock_guard<std::mutex> lock(mu_);
   ++stats_.restarts;
 }
 

@@ -92,8 +92,8 @@ struct GlobalCut {
 /// Staging area + committed-cut holder + async cut writer.
 ///
 /// Thread safety: stage()/seal()/committed()/stats() may be called
-/// concurrently from rank threads; begin_job()/quiesce() only from the
-/// thread driving mp::run.
+/// concurrently from rank threads; begin_job()/quiesce()/restart() only
+/// from the thread driving mp::run.
 class Store {
  public:
   explicit Store(Options opts);
@@ -105,8 +105,10 @@ class Store {
   const Options& options() const noexcept { return opts_; }
 
   /// Called by mp::run at job entry: drops any staged snapshots and the
-  /// committed cut of a previous job sharing this store (stats persist).
-  /// The first call adopts Options::restart_from as the committed cut.
+  /// committed cut of a previous job sharing this store (stats persist),
+  /// and takes the output baseline restart() rolls back to when no cut
+  /// committed. The first call adopts Options::restart_from as the
+  /// committed cut.
   void begin_job();
 
   /// Rank \p rank 's slice of the cut committing at call index \p seq.
@@ -139,11 +141,13 @@ class Store {
   /// Last committed cut, or nullptr. Never mutated after publication.
   std::shared_ptr<const GlobalCut> committed() const;
 
-  /// Drop staged-but-unsealed snapshots (a restart invalidates them: the
-  /// replay will re-stage the same sequence numbers afresh).
-  void drop_staged();
+  /// Called by mp::run before it replays a crashed job of \p nprocs ranks:
+  /// rolls the captured output back to the committed cut's per-rank marks
+  /// (to the job's start when no cut fits the job), drops staged-but-unsealed
+  /// snapshots (the replay re-stages the same sequence numbers afresh), and
+  /// counts the restart.
+  void restart(int nprocs);
 
-  void note_restart();
   void note_restored_ranks(int n);
 
   Stats stats() const;
@@ -165,6 +169,7 @@ class Store {
                  std::function<void()> release);
 
   const Options opts_;
+  std::uint64_t baseline_lines_ = 0;  ///< output_total() at begin_job().
   mutable std::mutex mu_;
   bool adopted_restart_ = false;
   std::string key_;  ///< Fixed by the first stage of the job.

@@ -119,6 +119,8 @@ RunResult collect(const Patternlet& p, int tasks, ToggleSet toggles,
   result.seconds = h.seconds;
   result.metrics = std::move(h.metrics);
   if (result.metrics.has_value()) result.critical_path = obs::critical_path(*result.metrics);
+  result.fault_stats = h.fault_stats;
+  result.fault_abort = std::move(h.fault_abort);
   result.ckpt_stats = h.ckpt_stats;
   return result;
 }
@@ -271,8 +273,6 @@ RunResult run(const Patternlet& p, const RunSpec& spec) {
     result.observed_updates = ctx.probe.observed();
   }
   result.analysis = std::move(report);
-  result.fault_stats = h.fault_stats;
-  result.fault_abort = std::move(h.fault_abort);
   return result;
 }
 

@@ -304,17 +304,13 @@ void Communicator::ckpt_check_world() const {
 
 bool Communicator::ckpt_take_restore(Payload& out) const {
   const auto idx = static_cast<std::size_t>(rank_);
-  if (state_->ckpt_restore_pending.empty() || !state_->ckpt_restore_pending[idx]) {
-    return false;
-  }
-  state_->ckpt_restore_pending[idx] = 0;
-  std::vector<std::byte>& blob = state_->ckpt_restore_blob[idx];
+  if (state_->ckpt_pending.empty() || state_->ckpt_pending[idx] == 0) return false;
+  state_->ckpt_pending[idx] = 0;
+  const std::vector<std::byte>& blob = state_->ckpt_cut->ranks[idx].state;
   out.append(blob.data(), blob.size());
-  blob.clear();
-  blob.shrink_to_fit();
   // Resume the call counter where the cut committed: the next interval-th
   // call lands on the same indices as the crash-free run.
-  state_->ckpt_calls[idx] = state_->ckpt_restore_calls;
+  state_->ckpt_calls[idx] = state_->ckpt_cut->calls;
   return true;
 }
 

@@ -3,13 +3,13 @@
 /// \file runtime.hpp
 /// \brief The message-passing runtime: rank spawning and shared plumbing.
 ///
-/// `run(np, program)` is the mpirun analogue: it spawns np ranks (as
-/// threads, each with an isolated mailbox — see DESIGN.md for why this
-/// preserves the semantics the patternlets teach), places them on the
-/// simulated Cluster, runs `program(comm)` on every rank with a world
-/// Communicator, and joins. Any rank's exception aborts the job and
-/// rethrows in the caller; remaining blocked ranks are woken by poisoning
-/// their mailboxes (so a test never hangs on a half-dead job).
+/// `run(np, program)` is the mpirun analogue: it spawns np ranks through
+/// thread::fork_join (threads, each with an isolated mailbox — see
+/// DESIGN.md for why this preserves the semantics the patternlets teach),
+/// places them on the simulated Cluster, runs `program(comm)` on every rank
+/// with a world Communicator, and joins. Any rank's exception aborts the
+/// job and rethrows in the caller; remaining blocked ranks are woken by
+/// poisoning their mailboxes (so a test never hangs on a half-dead job).
 
 #include <atomic>
 #include <chrono>
@@ -30,6 +30,7 @@
 
 namespace pml::ckpt {
 class Store;
+struct GlobalCut;
 }
 
 namespace pml::mp {
@@ -61,6 +62,7 @@ struct RuntimeState {
   /// Synchronous-send acknowledgement table (keyed by ack id).
   std::mutex ack_mu;
   std::map<std::uint64_t, std::shared_ptr<pml::thread::Event>> acks;
+  bool acks_closed = false;  ///< Set by poison_all(); guarded by ack_mu.
   std::atomic<std::uint64_t> next_ack{1};
 
   /// Communicator context ids. 0 is the world communicator.
@@ -94,19 +96,16 @@ struct RuntimeState {
   RendezvousTable rendezvous;
 
   /// \name Checkpoint/restart plumbing (pml::ckpt)
-  /// Borrowed store (nullptr = checkpointing off) plus per-rank restore
-  /// state. The restore vectors are written by the launcher thread before
-  /// ranks spawn (attempt > 0) and read once by each rank's own thread, so
-  /// they need no locking.
+  /// Borrowed store (nullptr = checkpointing off) and the committed cut this
+  /// attempt restores from (nullptr = fresh start). The cut is immutable and
+  /// shared with the store; run() sets it, and arms every rank's pending
+  /// flag, before ranks spawn. Each flag is then read and cleared by its own
+  /// rank's first checkpoint() only, so none of this needs locking.
   /// @{
   pml::ckpt::Store* ckpt_store = nullptr;
   std::vector<std::uint64_t> ckpt_calls;  ///< Per-rank checkpoint() index.
-  std::vector<char> ckpt_restore_pending;  ///< First checkpoint() restores.
-  std::vector<std::vector<std::byte>> ckpt_restore_blob;  ///< User state.
-  std::uint64_t ckpt_restore_calls = 0;  ///< Call index to resume from.
-  std::vector<char> ckpt_lane_restore;   ///< Apply fault lane counters.
-  std::vector<std::uint64_t> ckpt_lane_deliveries;
-  std::vector<std::uint64_t> ckpt_lane_checkpoints;
+  std::shared_ptr<const pml::ckpt::GlobalCut> ckpt_cut;
+  std::vector<char> ckpt_pending;  ///< Per rank: restore from ckpt_cut.
   /// @}
 
   std::shared_ptr<pml::thread::Event> register_ack(std::uint64_t id);
@@ -184,8 +183,11 @@ struct RunOptions {
 };
 
 /// Runs `program(world)` on \p nprocs ranks and joins them ("mpirun -np N").
-/// Rank exceptions propagate to the caller (first by rank order); a proven
-/// no-progress state raises DeadlockError instead of hanging forever.
+/// A rank exception propagates to the caller, picked by class: a program
+/// error first, then an injected node crash, then a RuntimeFault (such as
+/// the "runtime shut down" a poisoned peer sees); within a class, the
+/// lowest rank's. A proven no-progress state raises DeadlockError instead
+/// of hanging forever.
 void run(int nprocs, const std::function<void(Communicator&)>& program,
          const RunOptions& options = {});
 

@@ -10,8 +10,8 @@ namespace pml::thread {
 
 namespace {
 
-void run_all(int n, int first_spawned, const std::function<void(int)>& fn,
-             std::vector<std::exception_ptr>& errors) {
+void run_all(int n, int first_spawned, const char* region,
+             const std::function<void(int)>& fn, std::vector<std::exception_ptr>& errors) {
   // Fork/join happens-before edges for the analyzer, keyed on this call's
   // stack frame (&errors). Fork and join use DISTINCT keys: with a single
   // key, a worker that happens to finish before a sibling is spawned (the
@@ -42,7 +42,7 @@ void run_all(int n, int first_spawned, const std::function<void(int)>& fn,
       analyze::on_sync_acquire(fork_key);
       try {
         // One region span per team thread, covering its whole body.
-        obs::SpanScope region{obs::SpanKind::kRegion, "worker", id, n};
+        obs::SpanScope span{obs::SpanKind::kRegion, region, id, n};
         fn(id);
       } catch (...) {
         errors[static_cast<std::size_t>(id)] = std::current_exception();
@@ -55,7 +55,7 @@ void run_all(int n, int first_spawned, const std::function<void(int)>& fn,
     sched::bind_lane(0);
     analyze::on_sync_acquire(fork_key);
     try {
-      obs::SpanScope region{obs::SpanKind::kRegion, "worker", 0, n};
+      obs::SpanScope span{obs::SpanKind::kRegion, region, 0, n};
       fn(0);
     } catch (...) {
       errors[0] = std::current_exception();
@@ -74,17 +74,17 @@ void rethrow_first(const std::vector<std::exception_ptr>& errors) {
 
 }  // namespace
 
-void fork_join(int n, const std::function<void(int)>& fn) {
+void fork_join(int n, const std::function<void(int)>& fn, const char* region) {
   if (n <= 0) throw UsageError("fork_join: thread count must be positive");
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
-  run_all(n, 0, fn, errors);
+  run_all(n, 0, region, fn, errors);
   rethrow_first(errors);
 }
 
 void fork_join_inline(int n, const std::function<void(int)>& fn) {
   if (n <= 0) throw UsageError("fork_join_inline: thread count must be positive");
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
-  run_all(n, 1, fn, errors);
+  run_all(n, 1, "worker", fn, errors);
   rethrow_first(errors);
 }
 

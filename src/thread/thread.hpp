@@ -88,8 +88,9 @@ class Thread {
 
 /// Creates \p n workers running fn(0) .. fn(n-1), fork-join style.
 /// Returns after all workers complete. Exceptions from workers are
-/// re-thrown in the caller (the first one, by id order).
-void fork_join(int n, const std::function<void(int)>& fn);
+/// re-thrown in the caller (the first one, by id order). \p region labels
+/// each worker's profile span (mp::run passes "rank").
+void fork_join(int n, const std::function<void(int)>& fn, const char* region = "worker");
 
 /// Like fork_join, but the caller participates as id 0 and only n-1
 /// workers are spawned — the model OpenMP uses for its thread team.

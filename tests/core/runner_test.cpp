@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "core/error.hpp"
+#include "mp/mp.hpp"
 
 namespace pml {
 namespace {
@@ -22,6 +25,27 @@ Patternlet probe_patternlet() {
     ctx.out.program(std::string("flag=") + (ctx.toggles.on("flag") ? "on" : "off"));
     ctx.out.program("reps=" + std::to_string(ctx.param("reps", 8)));
     ctx.trace.record(0, "ran", 1);
+  };
+  return p;
+}
+
+/// Rank 0 sends one message that rank 1 waits for with a deadline, so a
+/// dropped message ends the job instead of waiting out the deadlock
+/// watchdog.
+Patternlet mp_probe_patternlet() {
+  Patternlet p;
+  p.slug = "test/mp-probe";
+  p.title = "mp probe";
+  p.tech = Tech::kMPI;
+  p.default_tasks = 2;
+  p.body = [](RunContext& ctx) {
+    mp::run(ctx.tasks, [](mp::Communicator& world) {
+      if (world.rank() == 0) {
+        world.send(1, 1, 0);
+      } else {
+        (void)world.recv_for<int>(std::chrono::milliseconds(50), 0, 0);
+      }
+    });
   };
   return p;
 }
@@ -81,6 +105,20 @@ TEST(Runner, BodyExceptionsPropagate) {
   Patternlet p = probe_patternlet();
   p.body = [](RunContext&) { throw RuntimeFault("boom"); };
   EXPECT_THROW(run(p), RuntimeFault);
+}
+
+TEST(Runner, BothPathsReportFaultStats) {
+  // The plain and the verify path harvest alike: a fault spec always
+  // yields the injection counters of the (last) execution.
+  for (const bool verify : {false, true}) {
+    RunSpec spec;
+    spec.fault_spec = "drop:1";
+    spec.verify = verify;
+    const RunResult r = run(mp_probe_patternlet(), spec);
+    ASSERT_TRUE(r.fault_stats.has_value()) << (verify ? "verify" : "plain");
+    EXPECT_EQ(r.fault_stats->dropped, 1u) << (verify ? "verify" : "plain");
+    EXPECT_FALSE(r.fault_abort.has_value()) << (verify ? "verify" : "plain");
+  }
 }
 
 TEST(RunResult, OutputStrJoinsLines) {

@@ -8,6 +8,7 @@
 #include <chrono>
 
 #include "core/error.hpp"
+#include "fault/fault.hpp"
 #include "mp/mp.hpp"
 
 namespace pml::mp {
@@ -72,6 +73,47 @@ TEST(Crash, PeerBlockedInSsendIsWoken) {
                      comm.ssend(1, 1);
                    }),
                UsageError);
+}
+
+// Root-cause order when an injected node crash meets other failures. Both
+// jobs run on two nodes with round-robin placement: node-02 hosts ranks 1
+// and 3. The failure picked by class sits at a higher rank than the one
+// rank order would pick, so the two rules cannot agree by accident.
+
+TEST(Crash, ProgramErrorOutranksAnInjectedNodeCrash) {
+  fault::FaultScope faults{fault::FaultPlan::parse("crash:node-02@0")};
+  RunOptions opts;
+  opts.cluster = Cluster(2, 4, Placement::kRoundRobin);
+  EXPECT_THROW(run(
+                   4,
+                   [](Communicator& comm) {
+                     if (comm.rank() == 1) comm.send(1, 0, 7);  // dies here
+                     if (comm.rank() == 2) throw UsageError("program error");
+                   },
+                   opts),
+               UsageError);
+  EXPECT_EQ(fault::crashed_ranks(), std::vector<int>{1});
+}
+
+TEST(Crash, NodeCrashOutranksThePoisonedPeersShutdownFault) {
+  // Rank 1 blocks in a receive on the crashing node; rank 3's second send
+  // spends its one-checkpoint allowance and takes node-02 down, which wakes
+  // rank 1 with the secondary "runtime shut down" RuntimeFault.
+  fault::FaultScope faults{fault::FaultPlan::parse("crash:node-02@1")};
+  RunOptions opts;
+  opts.cluster = Cluster(2, 4, Placement::kRoundRobin);
+  EXPECT_THROW(run(
+                   4,
+                   [](Communicator& comm) {
+                     if (comm.rank() == 1) (void)comm.recv<int>(0, 9);  // never sent
+                     if (comm.rank() == 3) {
+                       comm.send(1, 0, 7);
+                       comm.send(2, 0, 7);  // dies here
+                     }
+                   },
+                   opts),
+               fault::NodeCrashFault);
+  EXPECT_EQ(fault::crashed_ranks(), std::vector<int>{3});
 }
 
 TEST(Validation, CollectiveArgumentsChecked) {

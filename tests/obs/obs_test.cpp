@@ -10,9 +10,11 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/error.hpp"
 #include "core/runner.hpp"
+#include "mp/mp.hpp"
 #include "obs/profile.hpp"
 #include "patternlets/patternlets.hpp"
 #include "sched/sched.hpp"
@@ -96,6 +98,26 @@ TEST(ObsScope, MergesSpansFromJoinedThreads) {
   for (std::size_t i = 1; i < p.spans.size(); ++i) {
     EXPECT_LE(p.spans[i - 1].begin_ns, p.spans[i].begin_ns);
   }
+}
+
+TEST(ObsScope, RegionSpansNameTheirSpawner) {
+  // Team threads and mp ranks share one fork/join; the region span's label
+  // still says which of the two a lane was.
+  const auto region_labels = [](const Profile& p) {
+    std::vector<std::string> labels;
+    for (const Span& s : p.spans) {
+      if (s.kind == SpanKind::kRegion) labels.emplace_back(s.label);
+    }
+    return labels;
+  };
+  {
+    Scope scope;
+    pml::thread::fork_join(2, [](int) {});
+    EXPECT_EQ(region_labels(scope.finish()), (std::vector<std::string>{"worker", "worker"}));
+  }
+  Scope scope;
+  pml::mp::run(2, [](pml::mp::Communicator&) {});
+  EXPECT_EQ(region_labels(scope.finish()), (std::vector<std::string>{"rank", "rank"}));
 }
 
 TEST(ObsScope, CountersAttributeToTheRecordingTask) {
